@@ -146,17 +146,14 @@ def _split_csv(value: str) -> list[str]:
 
 def _resolve_attrs(args, st: SetValuedTable, exclude: str | None = None) -> tuple[str, ...]:
     if args.attrs is None:
-        names = [a for a in st.attribute_names if a != exclude]
+        names = tuple(a for a in st.attribute_names if a != exclude)
     else:
-        names = _split_csv(args.attrs)
-        for a in names:
-            st.schema(a)
+        names = st.attr_subset(dict.fromkeys(_split_csv(args.attrs)))
         if exclude in names:
             raise ValueError(f"decision column {exclude!r} cannot be a condition attribute")
-        names = [a for a in st.attribute_names if a in set(names)]
     if not names:
         raise ValueError("no condition attributes left")
-    return tuple(names)
+    return names
 
 
 def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str | None]:
@@ -165,10 +162,7 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
         raise ValueError("use either --class or --class-column, not both")
     if args.class_ids:
         ids = _split_csv(args.class_ids)
-        unknown = set(ids) - set(st.objects)
-        if unknown:
-            raise ValueError(f"unknown objects in --class: {sorted(unknown)}")
-        return frozenset(ids), ",".join(sorted(ids, key=st.objects.index)), None
+        return st.class_set(ids), ",".join(sorted(ids, key=st.position)), None
     if args.class_column:
         if args.class_value is None:
             raise ValueError("--class-column requires --class-value")
@@ -204,9 +198,21 @@ def _require_complete(st: SetValuedTable, method: str) -> None:
         raise ValueError(f"method {method} requires a complete table")
 
 
+def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
+    """The formula describing each block of the positive and negative regions."""
+    def describe(blocks):
+        return {object_description(st.known_row(next(iter(b))), attrs, st.attribute_names)
+                for b in blocks}
+
+    return describe(regions.pos), describe(regions.neg)
+
+
 def _description_regions(st, method, attrs, members, kind, alpha, args):
-    if method == "cdl-complete":
+    if method in COMPLETE_METHODS:
         _require_complete(st, method)
+    if method == "eq-complete":
+        return _block_descriptions(st, attrs, regions_computational(st, attrs, members))
+    if method == "cdl-complete":
         return description_regions_complete(st, attrs, members, args.max_formulas)
     if method == "alpha-sim":
         return description_regions_alpha_sim(
@@ -224,7 +230,7 @@ def _description_regions(st, method, attrs, members, kind, alpha, args):
         return description_regions_confidence(
             st, attrs, alpha, members, kind, args.max_formulas
         )
-    raise ValueError(f"method {method} does not produce formula regions")
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _strip_na_atoms(formulas, strip: list[str] | None, attrs) -> frozenset[Formula]:
@@ -244,85 +250,63 @@ def _sorted_formulas(formulas, schemas) -> list[Formula]:
 
 
 def _block_lists(st, blocks) -> list[list[str]]:
-    ordered = sorted(blocks, key=lambda b: min(st.objects.index(x) for x in b))
-    return [[x for x in st.objects if x in block] for block in ordered]
+    ordered = [sorted(block, key=st.position) for block in blocks]
+    return sorted(ordered, key=lambda block: st.position(block[0]))
 
 
-def _derive(st, method, attrs, members, label, kind, alpha, args) -> RuleSet:
-    schemas = tuple(st.schema(a) for a in attrs)
+def _derive(args, schemas, dpos, dneg, label, kind, alpha) -> RuleSet:
     provenance = Provenance(
-        method=method,
-        tnorm=None if method in COMPLETE_METHODS else kind.value,
+        method=args.method,
+        tnorm=None if args.method in COMPLETE_METHODS else kind.value,
         alpha=alpha,
         class_label=label,
     )
-    if method == "eq-complete":
-        _require_complete(st, method)
-        regions = regions_computational(st, attrs, members)
-        dpos = {object_description(st.known_row(next(iter(b))), attrs, st.attribute_names)
-                for b in regions.pos}
-        dneg = {object_description(st.known_row(next(iter(b))), attrs, st.attribute_names)
-                for b in regions.neg}
-    else:
-        dpos, dneg = _description_regions(st, method, attrs, members, kind, alpha, args)
-    dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
-    dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
     return derive_rules(
         dpos, dneg, provenance, sort_key=lambda p: formula_sort_key(p, schemas)
     )
 
 
-def _cmd_regions(args) -> int:
+def _setup(args):
+    """Table, class and settings shared by ``rules`` and ``regions``."""
     st = _load_table(args)
     members, label, excluded = _resolve_class(args, st)
     attrs = _resolve_attrs(args, st, exclude=excluded)
     kind, alpha = _resolve_kind_alpha(args, args.method)
-    schemas = tuple(st.schema(a) for a in attrs)
+    return st, members, label, attrs, kind, alpha
 
+
+def _cmd_regions(args) -> int:
+    st, members, label, attrs, kind, alpha = _setup(args)
+    schemas = tuple(map(st.schema, attrs))
     if args.method == "eq-complete":
         _require_complete(st, args.method)
         regions = regions_computational(st, attrs, members)
-        payload = {
-            "pos": _block_lists(st, regions.pos),
-            "neg": _block_lists(st, regions.neg),
-            "bnd": _block_lists(st, regions.bnd),
-        }
-        if args.format == "json":
-            _emit(args, json.dumps(payload, indent=2) + "\n")
-        else:
-            lines = []
-            for name in ("pos", "neg", "bnd"):
-                for block in payload[name]:
-                    lines.append(f"{name} {{{','.join(block)}}}")
-            ruleset = _derive(st, args.method, attrs, members, label, kind, alpha, args)
-            lines.append(render_rules(ruleset, "text").rstrip("\n"))
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    dpos, dneg = _description_regions(st, args.method, attrs, members, kind, alpha, args)
-    dpos_view = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
-    dneg_view = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
-    if args.format == "json":
-        payload = {
-            "dpos": [formula_json(p) for p in _sorted_formulas(dpos_view, schemas)],
-            "dneg": [formula_json(p) for p in _sorted_formulas(dneg_view, schemas)],
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        payload = {name: _block_lists(st, getattr(regions, name)) for name in ("pos", "neg", "bnd")}
+        lines = [f"{name} {{{','.join(block)}}}" for name, blocks in payload.items() for block in blocks]
+        # A complete table holds no NA, so there are no atoms to strip.
+        dpos, dneg = _block_descriptions(st, attrs, regions)
     else:
-        lines = [f"DPOS {render_formula(p)}" for p in _sorted_formulas(dpos_view, schemas)]
-        lines += [f"DNEG {render_formula(p)}" for p in _sorted_formulas(dneg_view, schemas)]
-        ruleset = _derive(st, args.method, attrs, members, label, kind, alpha, args)
-        lines.append(render_rules(ruleset, "text").rstrip("\n"))
-        _emit(args, "\n".join(lines) + "\n")
+        dpos, dneg = _description_regions(st, args.method, attrs, members, kind, alpha, args)
+        dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
+        dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
+        pos, neg = _sorted_formulas(dpos, schemas), _sorted_formulas(dneg, schemas)
+        payload = {"dpos": [formula_json(p) for p in pos], "dneg": [formula_json(p) for p in neg]}
+        lines = [f"DPOS {render_formula(p)}" for p in pos] + [f"DNEG {render_formula(p)}" for p in neg]
+    if args.format == "json":
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+        return 0
+    ruleset = _derive(args, schemas, dpos, dneg, label, kind, alpha)
+    lines.append(render_rules(ruleset, "text").rstrip("\n"))
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_rules(args) -> int:
-    st = _load_table(args)
-    members, label, excluded = _resolve_class(args, st)
-    attrs = _resolve_attrs(args, st, exclude=excluded)
-    kind, alpha = _resolve_kind_alpha(args, args.method)
-    ruleset = _derive(st, args.method, attrs, members, label, kind, alpha, args)
+    st, members, label, attrs, kind, alpha = _setup(args)
+    dpos, dneg = _description_regions(st, args.method, attrs, members, kind, alpha, args)
+    dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
+    dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
+    ruleset = _derive(args, tuple(map(st.schema, attrs)), dpos, dneg, label, kind, alpha)
     _emit(args, render_rules(ruleset, args.format))
     return 0
 
@@ -362,7 +346,7 @@ def _cmd_satisfiability(args) -> int:
     st = _load_table(args)
     attrs = _resolve_attrs(args, st)
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
-    schemas = tuple(st.schema(a) for a in attrs)
+    schemas = tuple(map(st.schema, attrs))
     formulas = enumerate_cdl(schemas, STRICT, args.max_formulas)
     entries = []
     for i, p in enumerate(formulas, start=1):
@@ -392,13 +376,7 @@ def _cmd_satisfiability(args) -> int:
 def _cmd_oracle(args) -> int:
     st = _load_table(args)
     attrs = _resolve_attrs(args, st)
-    members = None
-    if args.class_ids:
-        ids = _split_csv(args.class_ids)
-        unknown = set(ids) - set(st.objects)
-        if unknown:
-            raise ValueError(f"unknown objects in --class: {sorted(unknown)}")
-        members = frozenset(ids)
+    members = st.class_set(_split_csv(args.class_ids)) if args.class_ids else None
     alpha = parse_degree(args.alpha) if args.alpha else None
     reports = run_all_checks(
         st, attrs, x_set=members, alpha=alpha, max_worlds=args.max_worlds
@@ -436,8 +414,20 @@ def _cmd_oracle(args) -> int:
 def _summary(value) -> str:
     if isinstance(value, Fraction):
         return format_exact(value)
-    text = repr(value)
+    text = _stable_repr(value)
     return text if len(text) <= 200 else text[:197] + "..."
+
+
+def _stable_repr(value) -> str:
+    """``repr`` with set members sorted, so the text does not depend on
+    string hashing."""
+    if isinstance(value, (set, frozenset)):
+        members = ", ".join(sorted(map(_stable_repr, value)))
+        return f"{type(value).__name__}({{{members}}})" if value else f"{type(value).__name__}()"
+    if isinstance(value, dict):
+        items = ", ".join(f"{_stable_repr(k)}: {_stable_repr(v)}" for k, v in value.items())
+        return f"{{{items}}}"
+    return repr(value)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -65,24 +65,6 @@ def _require_complete(t: SetValuedTable) -> None:
         raise IncompleteTableError("operation requires a complete table")
 
 
-def _check_attrs(t: SetValuedTable, attrs: Sequence[str]) -> tuple:
-    wanted = set(attrs)
-    if len(wanted) != len(tuple(attrs)):
-        raise ValueError("duplicate attributes in subset")
-    for a in wanted:
-        t.schema(a)
-    # Declaration order keeps formula atom order canonical everywhere.
-    return tuple(t.schema(a) for a in t.attribute_names if a in wanted)
-
-
-def _check_class(t: SetValuedTable, x_set: Iterable[str]) -> frozenset[str]:
-    members = frozenset(x_set)
-    unknown = members - set(t.objects)
-    if unknown:
-        raise UnknownIdError(f"class contains unknown objects {sorted(unknown)!r}")
-    return members
-
-
 def partition(t: SetValuedTable, attrs: Sequence[str]) -> Partition:
     """Group objects that agree on every attribute of ``attrs``.
 
@@ -90,28 +72,20 @@ def partition(t: SetValuedTable, attrs: Sequence[str]) -> Partition:
     universe (all objects vacuously agree).
     """
     _require_complete(t)
-    _check_attrs(t, attrs)
+    attrs = t.attr_subset(attrs)
     keyed: dict[tuple[str, ...], list[str]] = {}
     for x in t.objects:
         row = t.known_row(x)
-        key = tuple(row[a] for a in attrs)
-        keyed.setdefault(key, []).append(x)
-    order: list[frozenset[str]] = []
-    seen = set()
-    for x in t.objects:
-        row = t.known_row(x)
-        key = tuple(row[a] for a in attrs)
-        if key not in seen:
-            seen.add(key)
-            order.append(frozenset(keyed[key]))
-    return Partition(tuple(order))
+        keyed.setdefault(tuple(row[a] for a in attrs), []).append(x)
+    # Dicts keep insertion order, so blocks follow their first member.
+    return Partition(tuple(frozenset(block) for block in keyed.values()))
 
 
 def regions_computational(
     t: SetValuedTable, attrs: Sequence[str], x_set: Iterable[str]
 ) -> StructuredRegions:
     """Split the partition blocks by inclusion in the class or its complement."""
-    members = _check_class(t, x_set)
+    members = t.class_set(x_set)
     complement = frozenset(t.objects) - members
     pos, neg, bnd = set(), set(), set()
     for block in partition(t, attrs).blocks:
@@ -131,7 +105,7 @@ def cdef_family(
 ) -> frozenset[DescribedSet]:
     """All conjunctively definable sets, each with its full description set."""
     _require_complete(t)
-    schemas = _check_attrs(t, attrs)
+    schemas = tuple(map(t.schema, t.attr_subset(attrs)))
     grouped: dict[frozenset[str], set[Formula]] = {}
     for p in enumerate_cdl(schemas, STRICT, max_formulas):
         grouped.setdefault(meaning_set(t, p), set()).add(p)
@@ -147,7 +121,7 @@ def regions_conceptual(
     max_formulas: int = DEFAULT_MAX_FORMULAS,
 ) -> tuple[frozenset[DescribedSet], frozenset[DescribedSet]]:
     """Nonempty definable sets included in the class / in its complement."""
-    members = _check_class(t, x_set)
+    members = t.class_set(x_set)
     complement = frozenset(t.objects) - members
     pos, neg = set(), set()
     for ds in cdef_family(t, attrs, max_formulas):
@@ -192,7 +166,7 @@ def regions_general(
     Nonempty definable sets are split by inclusion; the boundary is the
     complement within the family, never computed independently.
     """
-    members = _check_class(t, x_set)
+    members = t.class_set(x_set)
     complement = frozenset(t.objects) - members
     definable = boolean_algebra(partition(t, attrs).blocks, max_subsets)
     pos, neg, bnd = set(), set(), set()
@@ -220,9 +194,9 @@ def description_regions_complete(
     lies inside the class; the negative region is symmetric with the
     complement. The boundary is implicit (everything else).
     """
-    members = _check_class(t, x_set)
+    members = t.class_set(x_set)
     complement = frozenset(t.objects) - members
-    schemas = _check_attrs(t, attrs)
+    schemas = tuple(map(t.schema, t.attr_subset(attrs)))
     dpos, dneg = set(), set()
     for p in enumerate_cdl(schemas, STRICT, max_formulas):
         m = meaning_set(t, p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
+from .errors import GuardExceededError, IncompleteTableError
 from .fuzzy import TNorm, as_degree
 from .language import Atom, Formula, STRICT, enumerate_cdl
 from .similarity import (
@@ -47,14 +47,7 @@ class OracleReport:
 
 
 def _normalized_attrs(st: SetValuedTable, attrs: Sequence[str] | None) -> tuple[str, ...]:
-    if attrs is None:
-        return st.attribute_names
-    wanted = set(attrs)
-    if len(wanted) != len(tuple(attrs)):
-        raise ValueError("duplicate attributes in subset")
-    for a in wanted:
-        st.schema(a)
-    return tuple(a for a in st.attribute_names if a in wanted)
+    return st.attribute_names if attrs is None else st.attr_subset(attrs)
 
 
 def oracle_similarity(
@@ -97,8 +90,7 @@ def oracle_sat_degree(
 ) -> Fraction:
     """Fraction of completions of row ``x`` (restricted to the formula's
     attributes) whose completed values classically satisfy ``p``."""
-    if x not in st.objects:
-        raise UnknownIdError(f"unknown object {x!r}")
+    st.check_objects(x)
     cells = [sorted(st.cell(x, atom.attr)) for atom in p.atoms]
     total = 1
     for cell in cells:
@@ -203,7 +195,7 @@ def oracle_classical_reduction(
     threshold = as_degree(alpha)
     if threshold == 0:
         raise ValueError("classical reduction holds for thresholds in (0, 1] only")
-    members = frozenset(x_set)
+    members = st.class_set(x_set)
     complement = frozenset(st.objects) - members
     blocks = _partition_blocks(st, attrs)
     block_of = {obj: block for block in blocks for obj in block}

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnknownIdError
 from .fuzzy import ONE, ZERO, TNorm, as_degree, implication, negate, tnorm
 from .language import DEFAULT_MAX_FORMULAS, Formula, STRICT, enumerate_cdl
 from .table import NA, SetValuedTable
@@ -49,29 +48,10 @@ def _check_strict(st: SetValuedTable, p: Formula) -> None:
             raise ValueError(f"atom ({atom.attr}={atom.value}) is not strict-mode")
 
 
-def _check_class(st: SetValuedTable, x_set: Iterable[str]) -> frozenset[str]:
-    members = frozenset(x_set)
-    unknown = members - set(st.objects)
-    if unknown:
-        raise UnknownIdError(f"class contains unknown objects {sorted(unknown)!r}")
-    return members
-
-
-def _schemas(st: SetValuedTable, attrs: Sequence[str]) -> tuple:
-    wanted = set(attrs)
-    if len(wanted) != len(tuple(attrs)):
-        raise ValueError("duplicate attributes in subset")
-    for a in wanted:
-        st.schema(a)
-    # Declaration order keeps formula atom order canonical everywhere.
-    return tuple(st.schema(a) for a in st.attribute_names if a in wanted)
-
-
 def sat_degree(st: SetValuedTable, x: str, p: Formula, kind: TNorm) -> Fraction:
     """Degree to which object ``x`` satisfies the strict formula ``p``."""
     _check_strict(st, p)
-    if x not in st.objects:
-        raise UnknownIdError(f"unknown object {x!r}")
+    st.check_objects(x)
     atom_degrees = []
     for atom in p.atoms:
         cell = st.cell(x, atom.attr)
@@ -106,9 +86,9 @@ def description_regions_alpha_meaning(
     These two regions are disjoint by construction: a nonempty set cannot
     be inside both the class and its complement.
     """
-    members = _check_class(st, x_set)
+    members = st.class_set(x_set)
     complement = frozenset(st.objects) - members
-    schemas = _schemas(st, attrs)
+    schemas = tuple(map(st.schema, st.attr_subset(attrs)))
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
     for p in enumerate_cdl(schemas, STRICT, max_formulas):
@@ -130,7 +110,7 @@ def confidence(st: SetValuedTable, p: Formula, x_set: Iterable[str], kind: TNorm
     operators of ``kind``; N is the standard negator. Closed forms are
     available separately for cross-checking.
     """
-    members = _check_class(st, x_set)
+    members = st.class_set(x_set)
     profile = sat_profile(st, p, kind)
     degrees = [profile.degrees[x] for x in st.objects]
     inside = [ONE if x in members else ZERO for x in st.objects]
@@ -156,7 +136,7 @@ def confidence_closed(
     reject swaps the index sets. Max over an empty set counts as 0 and a
     product over an empty set as 1.
     """
-    members = _check_class(st, x_set)
+    members = st.class_set(x_set)
     profile = sat_profile(st, p, kind)
     inside = [profile.degrees[x] for x in st.objects if x in members]
     outside = [profile.degrees[x] for x in st.objects if x not in members]
@@ -190,9 +170,9 @@ def description_regions_confidence(
 ) -> tuple[frozenset[Formula], frozenset[Formula]]:
     """Formulas whose acceptance (resp. rejection) confidence passes the
     threshold. Overlap is possible and resolved at rule derivation."""
-    members = _check_class(st, x_set)
+    members = st.class_set(x_set)
     threshold = as_degree(alpha)
-    schemas = _schemas(st, attrs)
+    schemas = tuple(map(st.schema, st.attr_subset(attrs)))
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
     for p in enumerate_cdl(schemas, STRICT, max_formulas):

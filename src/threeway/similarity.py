@@ -51,33 +51,9 @@ class Approximability:
     class_ref: frozenset[str]
 
 
-def _check_objects(st: SetValuedTable, *objs: str) -> None:
-    for x in objs:
-        if x not in st.objects:
-            raise UnknownIdError(f"unknown object {x!r}")
-
-
-def _check_attrs(st: SetValuedTable, attrs: Sequence[str]) -> tuple[str, ...]:
-    wanted = set(attrs)
-    if len(wanted) != len(tuple(attrs)):
-        raise ValueError("duplicate attributes in subset")
-    for a in wanted:
-        st.schema(a)
-    # Declaration order keeps formula atom order canonical everywhere.
-    return tuple(a for a in st.attribute_names if a in wanted)
-
-
-def _check_class(st: SetValuedTable, x_set: Iterable[str]) -> frozenset[str]:
-    members = frozenset(x_set)
-    unknown = members - set(st.objects)
-    if unknown:
-        raise UnknownIdError(f"class contains unknown objects {sorted(unknown)!r}")
-    return members
-
-
 def similarity_single(st: SetValuedTable, a: str, x: str, y: str) -> Fraction:
     """Similarity degree of two objects on one attribute."""
-    _check_objects(st, x, y)
+    st.check_objects(x, y)
     if x == y:
         return ONE
     sx = st.cell(x, a)
@@ -87,10 +63,10 @@ def similarity_single(st: SetValuedTable, a: str, x: str, y: str) -> Fraction:
 
 def similarity(st: SetValuedTable, attrs: Sequence[str], kind: TNorm, x: str, y: str) -> Fraction:
     """Similarity degree over an attribute subset, folded with ``kind``."""
-    attrs = _check_attrs(st, attrs)
+    attrs = st.attr_subset(attrs)
     if not attrs:
         raise ValueError("attribute subset must be nonempty")
-    _check_objects(st, x, y)
+    st.check_objects(x, y)
     if x == y:
         return ONE
     return tnorm(kind, (similarity_single(st, a, x, y) for a in attrs))
@@ -98,7 +74,7 @@ def similarity(st: SetValuedTable, attrs: Sequence[str], kind: TNorm, x: str, y:
 
 def similarity_matrix(st: SetValuedTable, attrs: Sequence[str], kind: TNorm) -> SimilarityMatrix:
     """Full symmetric matrix of pairwise degrees."""
-    attrs = _check_attrs(st, attrs)
+    attrs = st.attr_subset(attrs)
     if not attrs:
         raise ValueError("attribute subset must be nonempty")
     entries: dict[tuple[str, str], Fraction] = {}
@@ -117,7 +93,7 @@ def alpha_similarity_class(m: SimilarityMatrix, x: str, alpha) -> frozenset[str]
     The comparison is exact-rational, so 1/3 passes a 0.3 threshold.
     """
     threshold = as_degree(alpha)
-    if x not in m.objects:
+    if (x, x) not in m.entries:
         raise UnknownIdError(f"unknown object {x!r}")
     return frozenset(y for y in m.objects if m.degree(x, y) >= threshold)
 
@@ -130,10 +106,10 @@ def cdes(
 ) -> frozenset[Formula]:
     """Conjunctive descriptions of an object: one formula per choice of a
     cell token for each attribute, ``NA`` admitted as an atom value."""
-    attrs = _check_attrs(st, attrs)
+    attrs = st.attr_subset(attrs)
     if not attrs:
         raise ValueError("attribute subset must be nonempty")
-    _check_objects(st, x)
+    st.check_objects(x)
     count = 1
     for a in attrs:
         count *= len(st.cell(x, a))
@@ -160,7 +136,7 @@ def description_regions_alpha_sim(
     The two regions may overlap; the conflict is resolved at rule
     derivation, not here.
     """
-    members = _check_class(st, x_set)
+    members = st.class_set(x_set)
     complement = frozenset(st.objects) - members
     matrix = similarity_matrix(st, attrs, kind)
     dpos: set[Formula] = set()
@@ -188,8 +164,8 @@ def approximability(
     operators of ``kind``. Closed forms are available separately for
     cross-checking.
     """
-    members = _check_class(st, x_set)
-    _check_objects(st, x)
+    members = st.class_set(x_set)
+    st.check_objects(x)
     degrees = [similarity(st, attrs, kind, x, y) for y in st.objects]
     pos = tnorm(
         kind,
@@ -218,8 +194,8 @@ def approximability_closed(
     """Closed forms: with MIN, positive is min over the complement of
     (1 - G); with PRODUCT it is the product of (1 - G) over the
     complement. Negative swaps the index set. Empty index sets give 1."""
-    members = _check_class(st, x_set)
-    _check_objects(st, x)
+    members = st.class_set(x_set)
+    st.check_objects(x)
     complement = [y for y in st.objects if y not in members]
     inside = [y for y in st.objects if y in members]
 
@@ -242,7 +218,7 @@ def description_regions_approx(
 ) -> tuple[frozenset[Formula], frozenset[Formula]]:
     """Union of object descriptions over objects passing the positive
     (resp. negative) approximability threshold."""
-    members = _check_class(st, x_set)
+    members = st.class_set(x_set)
     threshold = as_degree(alpha)
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()

@@ -36,7 +36,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     DomainInferenceWarning,
@@ -104,39 +104,94 @@ class NotApplicable:
 Cell = Union[Known, DoNotCare, Partial, ClassSpecific, NotApplicable]
 
 
-def _check_schema_lists(objects: Sequence[str], attributes: Sequence[AttributeSchema]) -> None:
-    if not objects:
-        raise ValueError("table needs at least one object")
-    if not attributes:
-        raise ValueError("table needs at least one attribute")
-    if len(set(objects)) != len(objects):
-        raise ValueError("duplicate object identifiers")
-    names = [a.name for a in attributes]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate attribute names")
-
-
 @dataclass(frozen=True, eq=False)
-class IncompleteTable:
-    """Objects x attributes grid whose cells may carry incomplete values."""
+class _Grid:
+    """Objects x attributes grid: shape checks, O(1) id indexes, and the
+    object, attribute-subset and class checks every route relies on."""
 
     objects: tuple[str, ...]
     attributes: tuple[AttributeSchema, ...]
+    cells: Mapping[tuple[str, str], object]
+
+    def __post_init__(self) -> None:
+        if not self.objects:
+            raise ValueError("table needs at least one object")
+        if not self.attributes:
+            raise ValueError("table needs at least one attribute")
+        positions = {x: i for i, x in enumerate(self.objects)}
+        if len(positions) != len(self.objects):
+            raise ValueError("duplicate object identifiers")
+        by_name = {a.name: a for a in self.attributes}
+        if len(by_name) != len(self.attributes):
+            raise ValueError("duplicate attribute names")
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_by_name", by_name)
+        # The right count with every grid key present leaves no stray keys.
+        if len(self.cells) != len(self.objects) * len(self.attributes):
+            raise ValueError("cells map is not total over objects x attributes")
+        for x in self.objects:
+            for a in by_name:
+                if (x, a) not in self.cells:
+                    raise ValueError(f"missing cell ({x}, {a})")
+
+    @property
+    def attribute_names(self) -> tuple[str, ...]:
+        return tuple(self._by_name)
+
+    def schema(self, name: str) -> AttributeSchema:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownIdError(f"unknown attribute {name!r}") from None
+
+    def cell(self, x: str, a: str):
+        try:
+            return self.cells[(x, a)]
+        except KeyError:
+            raise UnknownIdError(f"unknown cell ({x!r}, {a!r})") from None
+
+    def position(self, x: str) -> int:
+        """Index of object ``x`` in :attr:`objects`."""
+        try:
+            return self._positions[x]
+        except KeyError:
+            raise UnknownIdError(f"unknown object {x!r}") from None
+
+    def check_objects(self, *xs: str) -> None:
+        """Raise :class:`UnknownIdError` for the first unknown object."""
+        for x in xs:
+            self.position(x)
+
+    def attr_subset(self, attrs: Iterable[str]) -> tuple[str, ...]:
+        """The named attributes in declaration order, which keeps formula
+        atom order canonical everywhere."""
+        attrs = tuple(attrs)
+        wanted = set(attrs)
+        if len(wanted) != len(attrs):
+            raise ValueError("duplicate attributes in subset")
+        for a in attrs:
+            self.schema(a)
+        return tuple(a for a in self._by_name if a in wanted)
+
+    def class_set(self, x_set: Iterable[str]) -> frozenset[str]:
+        """The class as a frozenset; every member must be an object."""
+        members = frozenset(x_set)
+        unknown = sorted(x for x in members if x not in self._positions)
+        if unknown:
+            raise UnknownIdError(f"class contains unknown objects {unknown!r}")
+        return members
+
+
+@dataclass(frozen=True, eq=False)
+class IncompleteTable(_Grid):
+    """Objects x attributes grid whose cells may carry incomplete values."""
+
     cells: Mapping[tuple[str, str], Cell]
 
     def __post_init__(self) -> None:
-        _check_schema_lists(self.objects, self.attributes)
-        by_name = {a.name: a for a in self.attributes}
-        for x in self.objects:
-            for a in self.attributes:
-                if (x, a.name) not in self.cells:
-                    raise ValueError(f"missing cell ({x}, {a.name})")
-        if len(self.cells) != len(self.objects) * len(self.attributes):
-            raise ValueError("cells map is not total over objects x attributes")
+        super().__post_init__()
         for (x, name), cell in self.cells.items():
-            schema = by_name.get(name)
-            if x not in self.objects or schema is None:
-                raise ValueError(f"cell ({x}, {name}) outside the declared grid")
+            schema = self._by_name[name]
             if isinstance(cell, Known) and cell.value not in schema.domain:
                 raise ValueError(f"cell ({x}, {name}): value {cell.value!r} outside domain")
             if isinstance(cell, Partial) and not cell.values <= set(schema.domain):
@@ -144,83 +199,37 @@ class IncompleteTable:
             if isinstance(cell, ClassSpecific):
                 if cell.ref_attr == name:
                     raise ValueError(f"cell ({x}, {name}): self-referencing class-specific cell")
-                if cell.ref_attr not in by_name:
+                if cell.ref_attr not in self._by_name:
                     raise ValueError(f"cell ({x}, {name}): unknown reference attribute {cell.ref_attr!r}")
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
-
-    def schema(self, name: str) -> AttributeSchema:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise UnknownIdError(f"unknown attribute {name!r}")
-
-    def cell(self, x: str, a: str) -> Cell:
-        try:
-            return self.cells[(x, a)]
-        except KeyError:
-            raise UnknownIdError(f"unknown cell ({x!r}, {a!r})") from None
 
 
 @dataclass(frozen=True, eq=False)
-class SetValuedTable:
+class SetValuedTable(_Grid):
     """Canonical table form: every cell is a nonempty token set.
 
     ``NA`` appears only as the singleton ``{NA}``; mixed cells are rejected.
     """
 
-    objects: tuple[str, ...]
-    attributes: tuple[AttributeSchema, ...]
     cells: Mapping[tuple[str, str], frozenset[str]]
 
     def __post_init__(self) -> None:
-        _check_schema_lists(self.objects, self.attributes)
-        by_name = {a.name: a for a in self.attributes}
-        if len(self.cells) != len(self.objects) * len(self.attributes):
-            raise ValueError("cells map is not total over objects x attributes")
-        for x in self.objects:
-            for a in self.attributes:
-                if (x, a.name) not in self.cells:
-                    raise ValueError(f"missing cell ({x}, {a.name})")
+        super().__post_init__()
         for (x, name), values in self.cells.items():
-            schema = by_name.get(name)
-            if x not in self.objects or schema is None:
-                raise ValueError(f"cell ({x}, {name}) outside the declared grid")
             if not values:
                 raise ValueError(f"cell ({x}, {name}) is empty")
             if NA in values:
                 if len(values) > 1:
                     raise ValueError(f"cell ({x}, {name}) mixes {NA} with domain values")
-            elif not values <= set(schema.domain):
+            elif not values <= set(self._by_name[name].domain):
                 raise ValueError(f"cell ({x}, {name}) holds tokens outside the domain")
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
-
-    def schema(self, name: str) -> AttributeSchema:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise UnknownIdError(f"unknown attribute {name!r}")
-
-    def cell(self, x: str, a: str) -> frozenset[str]:
-        try:
-            return self.cells[(x, a)]
-        except KeyError:
-            raise UnknownIdError(f"unknown cell ({x!r}, {a!r})") from None
 
     def ordered_cell(self, x: str, a: str) -> tuple[str, ...]:
         """Cell tokens in domain declaration order, ``NA`` last."""
-        domain = self.schema(a).domain
-        rank = {v: i for i, v in enumerate(domain)}
-        return tuple(sorted(self.cell(x, a), key=lambda v: rank.get(v, len(domain))))
+        cell = self.cell(x, a)
+        return tuple(v for v in self.schema(a).domain + (NA,) if v in cell)
 
     def row(self, x: str) -> dict[str, frozenset[str]]:
-        if x not in self.objects:
-            raise UnknownIdError(f"unknown object {x!r}")
+        self.check_objects(x)
         return {a: self.cells[(x, a)] for a in self.attribute_names}
 
     def known_row(self, x: str) -> dict[str, str]:
@@ -339,9 +348,7 @@ def _select_rows(st: SetValuedTable, rows: Iterable[str] | None) -> tuple[str, .
     if rows is None:
         return st.objects
     wanted = set(rows)
-    unknown = wanted - set(st.objects)
-    if unknown:
-        raise UnknownIdError(f"unknown objects {sorted(unknown)!r}")
+    st.check_objects(*sorted(wanted))
     return tuple(x for x in st.objects if x in wanted)
 
 

@@ -1,15 +1,28 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 import expected
 from conftest import DATA, formula, formulas
+import threeway.cli
 from threeway.cli import main
 from threeway.fuzzy import format_decimal
 
 COMPLETE6 = str(DATA / "complete6.itab")
 SETVALUED8 = str(DATA / "setvalued8.itab")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def subprocess_env(**extra) -> dict[str, str]:
+    """Environment in which a child ``python -m threeway`` imports this checkout."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def run(capsys, *argv):
@@ -341,13 +354,11 @@ class TestEntryPoints:
         assert main(["regions"]) == 1
 
     def test_module_entry(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "threeway", "oracle-check", "--table", SETVALUED8],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert "28/28 ok" in proc.stdout
@@ -365,6 +376,19 @@ class TestDeterminism:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_oracle_json_independent_of_hash_seed(self):
+        argv = [
+            sys.executable, "-m", "threeway", "oracle-check", "--table", COMPLETE6,
+            "--format", "json", "--class", "x1,x2", "--alpha", "1/2",
+        ]
+        outputs = [
+            subprocess.run(
+                argv, env=subprocess_env(PYTHONHASHSEED=seed), capture_output=True, check=True, timeout=120
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
             capsys,
@@ -375,3 +399,25 @@ class TestDeterminism:
         assert code == 0
         data = json.loads(out)
         assert json.dumps(data, indent=2) + "\n" == out
+
+
+class TestRegionBuilderCalls:
+    @pytest.mark.parametrize(
+        "builder,argv",
+        [
+            ("description_regions_alpha_sim", ("--table", SETVALUED8, "--method", "alpha-sim", "--alpha", "0.3")),
+            ("regions_computational", ("--table", COMPLETE6, "--method", "eq-complete")),
+        ],
+    )
+    def test_text_regions_build_regions_once(self, capsys, monkeypatch, builder, argv):
+        original = getattr(threeway.cli, builder)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(threeway.cli, builder, counted)
+        code, _, _ = run(capsys, "regions", *argv, "--class", "x1,x2,x3,x4")
+        assert code == 0
+        assert len(calls) == 1

@@ -24,6 +24,8 @@ FIXTURES = ("complete6.itab", "setvalued8.itab")
 TNORMS = ("min", "prod")
 FORMATS = (("--format", "text"), ("--format", "json"))
 CLASS = ("--alpha", "3/5", "--class", "x1,x2,x3,x4")
+FUZZY_METHODS = ("alpha-sim", "approx", "alpha-meaning", "confidence")
+EDGE_ALPHAS = ("0", "1", "1/3")
 
 
 def cases() -> list[tuple[str, ...]]:
@@ -42,6 +44,14 @@ def cases() -> list[tuple[str, ...]]:
                 out.append(("satisfiability", "--table", table, "--tnorm", tnorm, *fmt))
     for fmt in FORMATS:
         out.append(("oracle-check", "--table", "complete6.itab", "--class", "x1,x2", "--alpha", "1/2", *fmt))
+    # Threshold edges: alpha 0 admits everything, 1 only full degrees, and
+    # 1/3 equals degrees the table attains.
+    for method in FUZZY_METHODS:
+        for tnorm in TNORMS:
+            for alpha in EDGE_ALPHAS:
+                out.append(("regions", "--table", "setvalued8.itab", "--method", method,
+                            "--tnorm", tnorm, "--alpha", alpha, "--class", "x1,x2,x3,x4",
+                            "--format", "json"))
     return out
 
 

@@ -94,14 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_table_options(satisfiability)
     satisfiability.add_argument("--tnorm", choices=[k.value for k in TNorm], default=None)
-    satisfiability.add_argument("--max-formulas", type=int, default=DEFAULT_MAX_FORMULAS)
+    satisfiability.add_argument("--max-formulas", type=_cap, default=DEFAULT_MAX_FORMULAS)
     satisfiability.set_defaults(handler=_cmd_satisfiability)
 
     oracle = sub.add_parser("oracle-check", help="run brute-force consistency checks")
     _add_table_options(oracle)
     oracle.add_argument("--class", dest="class_ids", default=None)
     oracle.add_argument("--alpha", default=None)
-    oracle.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
+    oracle.add_argument("--max-worlds", type=_cap, default=DEFAULT_MAX_WORLDS)
     oracle.set_defaults(handler=_cmd_oracle)
 
     return parser
@@ -128,8 +128,19 @@ def _add_method_options(p: argparse.ArgumentParser) -> None:
         metavar="ATTR",
         help=f"drop ({NA}) atoms from emitted rules; no argument strips every attribute",
     )
-    p.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
-    p.add_argument("--max-formulas", type=int, default=DEFAULT_MAX_FORMULAS)
+    p.add_argument("--max-worlds", type=_cap, default=DEFAULT_MAX_WORLDS)
+    p.add_argument("--max-formulas", type=_cap, default=DEFAULT_MAX_FORMULAS)
+
+
+def _cap(text: str) -> int:
+    """A size-guard cap: a nonnegative integer, checked at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _load_table(args) -> SetValuedTable:
@@ -168,9 +179,16 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
             raise ValueError("--class-column requires --class-value")
         column = args.class_column
         st.schema(column)
-        members = frozenset(
-            x for x in st.objects if st.cell(x, column) == frozenset({args.class_value})
-        )
+        cells = {x: st.cell(x, column) for x in st.objects}
+        # A *, partial or NA decision cell leaves the object's class open.
+        undecided = [x for x, cell in cells.items() if len(cell) != 1 or NA in cell]
+        if undecided:
+            shown = ", ".join(undecided[:5]) + (", ..." if len(undecided) > 5 else "")
+            raise ValueError(
+                f"decision column {column!r} holds no single known value for "
+                f"{len(undecided)} object(s): {shown}"
+            )
+        members = frozenset(x for x, cell in cells.items() if cell == {args.class_value})
         return members, f"{column}={args.class_value}", column
     raise ValueError("a class is required: pass --class or --class-column/--class-value")
 

@@ -32,11 +32,14 @@ class Partition:
 
     blocks: tuple[frozenset[str], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_block_of", {x: block for block in self.blocks for x in block})
+
     def block_of(self, x: str) -> frozenset[str]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise UnknownIdError(f"object {x!r} not in this partition")
+        try:
+            return self._block_of[x]
+        except KeyError:
+            raise UnknownIdError(f"object {x!r} not in this partition") from None
 
     @property
     def block_family(self) -> frozenset[frozenset[str]]:

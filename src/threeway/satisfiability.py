@@ -8,10 +8,17 @@ thresholds acceptance/rejection confidence computed with the paired
 implication and the standard negator. Formulas here are strict: ``NA`` is
 not an admissible atom value, and an ``{NA}`` cell satisfies every atom
 on that attribute to degree 0.
+
+The region builders run on an integer kernel (end of this module) that
+reads each column once and folds integer denominators; they call none of
+``sat_degree``, ``sat_profile``, ``alpha_meaning_set``, ``confidence`` or
+``confidence_closed``, which evaluate the defining expressions and serve
+as references.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -87,17 +94,23 @@ def description_regions_alpha_meaning(
     be inside both the class and its complement.
     """
     members = st.class_set(x_set)
-    complement = frozenset(st.objects) - members
-    schemas = tuple(map(st.schema, st.attr_subset(attrs)))
+    attrs = st.attr_subset(attrs)
+    formulas = enumerate_cdl(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    threshold = as_degree(alpha)
+    a, b = threshold.numerator, threshold.denominator
+    inside, outside = _strict_columns(st, attrs, members)
+
+    def hit(columns, p) -> bool:
+        # Some object reaches alpha: 1/N >= a/b, or any degree when a is 0.
+        return any(not a or n and a * n <= b for n in _denominators(columns, p, kind))
+
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
-    for p in enumerate_cdl(schemas, STRICT, max_formulas):
-        m = alpha_meaning_set(st, p, alpha, kind)
-        if not m:
-            continue
-        if m <= members:
+    for p in formulas:
+        hit_in, hit_out = hit(inside, p), hit(outside, p)
+        if hit_in and not hit_out:
             dpos.add(p)
-        elif m <= complement:
+        elif hit_out and not hit_in:
             dneg.add(p)
     return frozenset(dpos), frozenset(dneg)
 
@@ -172,13 +185,64 @@ def description_regions_confidence(
     threshold. Overlap is possible and resolved at rule derivation."""
     members = st.class_set(x_set)
     threshold = as_degree(alpha)
-    schemas = tuple(map(st.schema, st.attr_subset(attrs)))
+    attrs = st.attr_subset(attrs)
+    formulas = enumerate_cdl(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    inside, outside = _strict_columns(st, attrs, members)
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
-    for p in enumerate_cdl(schemas, STRICT, max_formulas):
-        conf = confidence(st, p, members, kind)
-        if conf.accept >= threshold:
+    for p in formulas:
+        # The closed forms of :func:`confidence_closed`, from the
+        # denominators: max D is 1/min N, and 1 - D is (N - 1)/N.
+        ns_in = [n for n in _denominators(inside, p, kind) if n]
+        ns_out = [n for n in _denominators(outside, p, kind) if n]
+        if kind is TNorm.MIN:
+            hi_in = Fraction(1, min(ns_in)) if ns_in else ZERO
+            hi_out = Fraction(1, min(ns_out)) if ns_out else ZERO
+            accept = min(ONE - hi_out, hi_in)
+            reject = min(ONE - hi_in, hi_out)
+        else:
+            miss_in = Fraction(math.prod(n - 1 for n in ns_in), math.prod(ns_in))
+            miss_out = Fraction(math.prod(n - 1 for n in ns_out), math.prod(ns_out))
+            accept = miss_out * (ONE - miss_in)
+            reject = miss_in * (ONE - miss_out)
+        if accept >= threshold:
             dpos.add(p)
-        if conf.reject >= threshold:
+        if reject >= threshold:
             dneg.add(p)
     return frozenset(dpos), frozenset(dneg)
+
+
+# --------------------------------------------------------------------------
+# Integer kernel. A strict formula holds on an object to degree 0 or 1/N
+# for an integer N: the largest |cell| over its atoms under MIN, their
+# product under PRODUCT, and 0 when some atom's value is not in its cell.
+
+
+def _strict_columns(
+    st: SetValuedTable, attrs: tuple[str, ...], members: frozenset[str]
+) -> tuple[dict, dict]:
+    """For the class and for its complement, each attribute's columns read
+    once: ``columns[a][v]`` lists, per object, |cell| when the cell holds
+    ``v`` and 0 otherwise. An ``{NA}`` cell holds no domain value."""
+
+    def columns(objects: list[str]) -> dict[str, dict[str, list[int]]]:
+        out = {}
+        for a in attrs:
+            cells = [st.cells[(x, a)] for x in objects]
+            out[a] = {v: [len(c) if v in c else 0 for c in cells] for v in st.schema(a).domain}
+        return out
+
+    return (
+        columns([x for x in st.objects if x in members]),
+        columns([x for x in st.objects if x not in members]),
+    )
+
+
+def _denominators(columns: dict, p: Formula, kind: TNorm) -> list[int]:
+    """N of ``p`` on each object of ``columns``."""
+    per_object = zip(*(columns[atom.attr][atom.value] for atom in p.atoms))
+    if kind is TNorm.MIN:
+        return [0 if 0 in ns else max(ns) for ns in per_object]
+    if kind is TNorm.PRODUCT:
+        return [math.prod(ns) for ns in per_object]
+    raise ValueError(f"unknown T-norm kind {kind!r}")

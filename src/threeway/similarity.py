@@ -9,6 +9,12 @@ classes, the other thresholds positive/negative approximability computed
 with the paired fuzzy implication. ``NA`` participates as an ordinary
 token here, so ``{NA}`` cells match each other and object descriptions
 may carry ``NA`` atoms.
+
+``similarity_matrix`` and the region builders run on an integer kernel
+(end of this module) over distinct rows; the builders call none of
+``similarity``, ``similarity_single``, ``alpha_similarity_class``,
+``approximability`` or ``approximability_closed``, which evaluate the
+defining expressions and serve as references.
 """
 
 from __future__ import annotations
@@ -73,17 +79,18 @@ def similarity(st: SetValuedTable, attrs: Sequence[str], kind: TNorm, x: str, y:
 
 
 def similarity_matrix(st: SetValuedTable, attrs: Sequence[str], kind: TNorm) -> SimilarityMatrix:
-    """Full symmetric matrix of pairwise degrees."""
-    attrs = st.attr_subset(attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
+    """Full symmetric matrix of pairwise degrees, expanded from the
+    degree table over distinct rows."""
+    attrs = _checked_attrs(st, attrs)
+    row_of, table = _row_degrees(st, attrs, kind)
+    degrees = [[Fraction(num, den) for num, den in line] for line in table]
     entries: dict[tuple[str, str], Fraction] = {}
     for i, x in enumerate(st.objects):
         entries[(x, x)] = ONE
-        for y in st.objects[i + 1 :]:
-            g = similarity(st, attrs, kind, x, y)
-            entries[(x, y)] = g
-            entries[(y, x)] = g
+        line = degrees[row_of[i]]
+        for j in range(i + 1, len(st.objects)):
+            y = st.objects[j]
+            entries[(x, y)] = entries[(y, x)] = line[row_of[j]]
     return SimilarityMatrix(st.objects, attrs, kind, entries)
 
 
@@ -106,9 +113,7 @@ def cdes(
 ) -> frozenset[Formula]:
     """Conjunctive descriptions of an object: one formula per choice of a
     cell token for each attribute, ``NA`` admitted as an atom value."""
-    attrs = st.attr_subset(attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
+    attrs = _checked_attrs(st, attrs)
     st.check_objects(x)
     count = 1
     for a in attrs:
@@ -137,17 +142,16 @@ def description_regions_alpha_sim(
     derivation, not here.
     """
     members = st.class_set(x_set)
-    complement = frozenset(st.objects) - members
-    matrix = similarity_matrix(st, attrs, kind)
-    dpos: set[Formula] = set()
-    dneg: set[Formula] = set()
-    for x in st.objects:
-        sim_class = alpha_similarity_class(matrix, x, alpha)
-        if sim_class <= members:
-            dpos |= cdes(st, attrs, x, max_formulas)
-        elif sim_class <= complement:
-            dneg |= cdes(st, attrs, x, max_formulas)
-    return frozenset(dpos), frozenset(dneg)
+    attrs = _checked_attrs(st, attrs)
+    a, b = _ratio(alpha)
+
+    def decide(line, others, inside):
+        # The class of x holds x; it stays on x's side unless some object
+        # of the other side is alpha-similar to x.
+        clear = not any(k and num * b >= a * den for (num, den), k in zip(line, others))
+        return inside and clear, not inside and clear
+
+    return _object_regions(st, attrs, kind, members, decide, max_formulas)
 
 
 def approximability(
@@ -219,13 +223,122 @@ def description_regions_approx(
     """Union of object descriptions over objects passing the positive
     (resp. negative) approximability threshold."""
     members = st.class_set(x_set)
+    a, b = _ratio(alpha)
+    attrs = _checked_attrs(st, attrs)
+
+    def decide(line, others, inside):
+        # The closed forms of :func:`approximability_closed`: the degree
+        # toward x's own side folds 1 - G over the other side, and the
+        # degree toward the other side is 0, since G(x, x) = 1.
+        num, den = _fold_complements(kind, line, others)
+        toward = num * b >= a * den
+        return (toward, a == 0) if inside else (a == 0, toward)
+
+    return _object_regions(st, attrs, kind, members, decide, max_formulas)
+
+
+# --------------------------------------------------------------------------
+# Integer kernel. Objects with the same row on ``attrs`` have the same
+# degree to every other object, so degrees are computed once per pair of
+# distinct rows, as unreduced integer (num, den) pairs, and thresholds are
+# compared by cross-multiplying.
+
+
+def _checked_attrs(st: SetValuedTable, attrs: Sequence[str]) -> tuple[str, ...]:
+    attrs = st.attr_subset(attrs)
+    if not attrs:
+        raise ValueError("attribute subset must be nonempty")
+    return attrs
+
+
+def _ratio(alpha) -> tuple[int, int]:
     threshold = as_degree(alpha)
+    return threshold.numerator, threshold.denominator
+
+
+def _fold(kind: TNorm, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """T-norm of nonnegative integer ratios (num, den), den > 0."""
+    num, den = 1, 1
+    if kind is TNorm.MIN:
+        for n, d in pairs:
+            if n * den < num * d:
+                num, den = n, d
+    elif kind is TNorm.PRODUCT:
+        for n, d in pairs:
+            num, den = num * n, den * d
+    else:
+        raise ValueError(f"unknown T-norm kind {kind!r}")
+    return num, den
+
+
+def _row_degrees(
+    st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Each object's row index, and the degree table over distinct rows.
+
+    ``table[s][t]`` is the degree between an object of row ``s`` and a
+    different object of row ``t``; on the diagonal that is the fold of
+    1/|cell|, not 1, which only an object and itself reach.
+    """
+    index: dict[tuple[frozenset[str], ...], int] = {}
+    row_of = [
+        index.setdefault(tuple(st.cells[(x, a)] for a in attrs), len(index)) for x in st.objects
+    ]
+    rows = list(index)
+    table = [[(0, 1)] * len(rows) for _ in rows]
+    for i, s in enumerate(rows):
+        for j in range(i, len(rows)):
+            pairs = ((len(sx & sy), len(sx) * len(sy)) for sx, sy in zip(s, rows[j]))
+            table[i][j] = table[j][i] = _fold(kind, pairs)
+    return row_of, table
+
+
+def _fold_complements(
+    kind: TNorm, line: list[tuple[int, int]], counts: list[int]
+) -> tuple[int, int]:
+    """T over ``counts[t]`` objects of each row t of 1 - G, where ``line[t]``
+    is G; 1 over no objects. MIN takes 1 - max G, PRODUCT multiplies
+    (1 - G)^count."""
+    if kind is TNorm.MIN:
+        top, base = 0, 1
+        for (num, den), k in zip(line, counts):
+            if k and num * base > top * den:
+                top, base = num, den
+        return base - top, base
+    num, den = 1, 1
+    for (n, d), k in zip(line, counts):
+        if k:
+            num *= (d - n) ** k
+            den *= d**k
+    return num, den
+
+
+def _object_regions(st, attrs, kind, members, decide, max_formulas):
+    """Union of the descriptions of the objects that ``decide`` puts in each
+    region, in object order, so the description guard fires on the same
+    object as a per-object evaluation would.
+
+    ``decide(line, others, inside)`` returns (positive, negative) for an
+    object of a row with degree line ``line``, class membership ``inside``,
+    and ``others[t]`` objects of row t on the other side of the class; it
+    runs once per row and membership.
+    """
+    row_of, table = _row_degrees(st, attrs, kind)
+    # others[inside][t]: objects of row t on the other side from an object
+    # whose membership is ``inside``; that object itself is never counted.
+    others = {True: [0] * len(table), False: [0] * len(table)}
+    for x, s in zip(st.objects, row_of):
+        others[x not in members][s] += 1
+    decided: dict[tuple[int, bool], tuple[bool, bool]] = {}
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
-    for x in st.objects:
-        apr = approximability(st, attrs, kind, members, x)
-        if apr.positive >= threshold:
+    for x, s in zip(st.objects, row_of):
+        inside = x in members
+        if (s, inside) not in decided:
+            decided[(s, inside)] = decide(table[s], others[inside], inside)
+        pos, neg = decided[(s, inside)]
+        if pos:
             dpos |= cdes(st, attrs, x, max_formulas)
-        if apr.negative >= threshold:
+        if neg:
             dneg |= cdes(st, attrs, x, max_formulas)
     return frozenset(dpos), frozenset(dneg)

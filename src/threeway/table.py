@@ -36,7 +36,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DomainInferenceWarning,
@@ -101,7 +101,9 @@ class NotApplicable:
     pass
 
 
-Cell = Union[Known, DoNotCare, Partial, ClassSpecific, NotApplicable]
+# A PEP 604 union, not typing.Union: typing caches Union objects, and the
+# cache would keep the classes of every earlier import of this module alive.
+Cell = Known | DoNotCare | Partial | ClassSpecific | NotApplicable
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,25 +255,36 @@ def resolve_class_specific(it: IncompleteTable, x: str, a: str) -> frozenset[str
     cell = it.cell(x, a)
     if not isinstance(cell, ClassSpecific):
         raise ValueError(f"cell ({x}, {a}) is not class-specific")
-    ref_cell = it.cell(x, cell.ref_attr)
+    return _resolve(it, x, a, cell.ref_attr, _peer_values(it, cell.ref_attr, a))
+
+
+def _peer_values(it: IncompleteTable, ref_attr: str, a: str) -> dict[str, frozenset[str]]:
+    """Known values of ``a``, keyed by the known value of ``ref_attr`` beside
+    them, in one pass over the objects. An object's own class-specific
+    cell is not known, so it never supplies its own resolution."""
+    peers: dict[str, set[str]] = {}
+    for y in it.objects:
+        ref, value = it.cells[(y, ref_attr)], it.cells[(y, a)]
+        if isinstance(ref, Known) and isinstance(value, Known):
+            peers.setdefault(ref.value, set()).add(value.value)
+    return {key: frozenset(values) for key, values in peers.items()}
+
+
+def _resolve(
+    it: IncompleteTable, x: str, a: str, ref_attr: str, peers: Mapping[str, frozenset[str]]
+) -> frozenset[str]:
+    ref_cell = it.cell(x, ref_attr)
     if not isinstance(ref_cell, Known):
         raise UnresolvedReferenceError(
-            f"cell ({x}, {a}): reference cell ({x}, {cell.ref_attr}) is not a known value"
+            f"cell ({x}, {a}): reference cell ({x}, {ref_attr}) is not a known value"
         )
-    values = set()
-    for y in it.objects:
-        if y == x:
-            continue
-        peer_ref = it.cell(y, cell.ref_attr)
-        peer_val = it.cell(y, a)
-        if isinstance(peer_ref, Known) and peer_ref.value == ref_cell.value and isinstance(peer_val, Known):
-            values.add(peer_val.value)
+    values = peers.get(ref_cell.value)
     if not values:
         raise EmptyResolutionError(
-            f"cell ({x}, {a}): no peer object with {cell.ref_attr}={ref_cell.value} "
+            f"cell ({x}, {a}): no peer object with {ref_attr}={ref_cell.value} "
             f"supplies a known value"
         )
-    return frozenset(values)
+    return values
 
 
 def to_set_valued(it: IncompleteTable) -> SetValuedTable:
@@ -279,9 +292,11 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
 
     Known(v) maps to {v}, do-not-care to the full domain, partially-known
     to its value set, class-specific to its resolution, non-applicable to
-    {NA}.
+    {NA}. Class-specific cells resolve through one index of peer values
+    per (reference attribute, attribute) pair.
     """
     cells: dict[tuple[str, str], frozenset[str]] = {}
+    peers: dict[tuple[str, str], dict[str, frozenset[str]]] = {}
     for x in it.objects:
         for schema in it.attributes:
             a = schema.name
@@ -293,7 +308,10 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
             elif isinstance(cell, Partial):
                 cells[(x, a)] = cell.values
             elif isinstance(cell, ClassSpecific):
-                cells[(x, a)] = resolve_class_specific(it, x, a)
+                key = (cell.ref_attr, a)
+                if key not in peers:
+                    peers[key] = _peer_values(it, *key)
+                cells[(x, a)] = _resolve(it, x, a, cell.ref_attr, peers[key])
             elif isinstance(cell, NotApplicable):
                 cells[(x, a)] = frozenset({NA})
             else:  # pragma: no cover - union is closed

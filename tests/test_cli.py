@@ -344,6 +344,50 @@ class TestExitCodes:
         assert code == 0
         assert "28/28 ok" in out
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("regions", "--max-formulas"),
+            ("regions", "--max-worlds"),
+            ("rules", "--max-formulas"),
+            ("rules", "--max-worlds"),
+            ("satisfiability", "--max-formulas"),
+            ("oracle-check", "--max-worlds"),
+        ],
+    )
+    def test_negative_cap_is_usage_error(self, capsys, command, flag):
+        method = ("--method", "alpha-meaning", "--alpha", "1/2", "--class", "x1")
+        extra = method if command in ("regions", "rules") else ()
+        code, out, err = run(capsys, command, "--table", SETVALUED8, *extra, flag, "-1")
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err
+        assert f"argument {flag}: must be nonnegative, got -1" in err
+
+    def test_zero_cap_is_accepted(self, capsys):
+        code, _, err = run(
+            capsys, "satisfiability", "--table", SETVALUED8, "--max-formulas", "0"
+        )
+        assert code == 3
+        assert "cap of 0" in err
+
+    def test_undecided_class_column_is_1(self, capsys, tmp_path):
+        rows = ["x1 0 yes", "x2 1 *", "x3 0 {yes|no}", "x4 1 NA", "x5 0 no"]
+        rows += [f"x{i} 1 *" for i in range(6, 10)]
+        table = tmp_path / "undecided.itab"
+        table.write_text(
+            "@attributes a d\n@domain a 0 1\n@domain d yes no\n@objects\n" + "\n".join(rows) + "\n"
+        )
+        code, out, err = run(
+            capsys,
+            "rules", "--table", str(table), "--method", "alpha-meaning", "--alpha", "1/2",
+            "--class-column", "d", "--class-value", "yes",
+        )
+        assert code == 1
+        assert out == ""
+        assert "decision column 'd' holds no single known value for 7 object(s): " \
+            "x2, x3, x4, x6, x7, ..." in err
+
 
 class TestEntryPoints:
     def test_help_exits_zero(self, capsys):

@@ -7,6 +7,7 @@ from conftest import ATTR_ORDER, formula, formulas
 from threeway import (
     GuardExceededError,
     IncompleteTableError,
+    UnknownIdError,
     boolean_algebra,
     cdef_family,
     description_regions_complete,
@@ -54,6 +55,14 @@ class TestPartition:
 
     def test_block_of(self, complete6):
         assert partition(complete6, ATTR_ORDER).block_of("x4") == frozenset({"x4", "x5"})
+
+    def test_block_of_every_object_and_unknown(self, complete6):
+        blocks = partition(complete6, ("a1",))
+        for block in blocks.blocks:
+            for x in block:
+                assert blocks.block_of(x) is block
+        with pytest.raises(UnknownIdError):
+            blocks.block_of("x99")
 
 
 class TestComputationalRegions:

@@ -1,0 +1,331 @@
+"""Differential tests of the integer degree kernels.
+
+Each region builder is compared with a reference copy of the builder it
+replaced, which evaluates the defining fuzzy expressions object by object
+or formula by formula through the public reference functions. Tables
+draw their rows from a small pool, so identical rows with non-singleton
+cells, ``{NA}`` cells and ``*`` cells all occur, and thresholds are drawn
+from 0, 1 and the degrees the table attains, where a comparison is
+exactly on its edge. The indexed class-specific resolution is compared
+with a reference copy of the per-cell peer scan.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from threeway import (
+    NA,
+    AttributeSchema,
+    ClassSpecific,
+    DoNotCare,
+    EmptyResolutionError,
+    IncompleteTable,
+    Known,
+    NotApplicable,
+    Partial,
+    ResolutionError,
+    SetValuedTable,
+    TNorm,
+    UnresolvedReferenceError,
+    alpha_meaning_set,
+    approximability,
+    cdes,
+    confidence,
+    description_regions_alpha_meaning,
+    description_regions_alpha_sim,
+    description_regions_approx,
+    description_regions_confidence,
+    enumerate_cdl,
+    resolve_class_specific,
+    sat_degree,
+    similarity,
+    similarity_matrix,
+    to_set_valued,
+)
+from threeway.language import STRICT
+
+DIFFERENTIAL = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+# --------------------------------------------------------------------------
+# References: the builders as they were before the kernels, evaluating the
+# defining expressions through the public reference functions.
+
+
+def reference_alpha_sim(table, attrs, alpha, members, kind):
+    complement = frozenset(table.objects) - members
+    dpos, dneg = set(), set()
+    for x in table.objects:
+        sim_class = frozenset(
+            y for y in table.objects if similarity(table, attrs, kind, x, y) >= alpha
+        )
+        if sim_class <= members:
+            dpos |= cdes(table, attrs, x)
+        elif sim_class <= complement:
+            dneg |= cdes(table, attrs, x)
+    return frozenset(dpos), frozenset(dneg)
+
+
+def reference_approx(table, attrs, alpha, members, kind):
+    dpos, dneg = set(), set()
+    for x in table.objects:
+        apr = approximability(table, attrs, kind, members, x)
+        if apr.positive >= alpha:
+            dpos |= cdes(table, attrs, x)
+        if apr.negative >= alpha:
+            dneg |= cdes(table, attrs, x)
+    return frozenset(dpos), frozenset(dneg)
+
+
+def reference_alpha_meaning(table, attrs, alpha, members, kind):
+    complement = frozenset(table.objects) - members
+    dpos, dneg = set(), set()
+    for p in enumerate_cdl(tuple(map(table.schema, attrs)), STRICT):
+        m = alpha_meaning_set(table, p, alpha, kind)
+        if not m:
+            continue
+        if m <= members:
+            dpos.add(p)
+        elif m <= complement:
+            dneg.add(p)
+    return frozenset(dpos), frozenset(dneg)
+
+
+def reference_confidence(table, attrs, alpha, members, kind):
+    dpos, dneg = set(), set()
+    for p in enumerate_cdl(tuple(map(table.schema, attrs)), STRICT):
+        conf = confidence(table, p, members, kind)
+        if conf.accept >= alpha:
+            dpos.add(p)
+        if conf.reject >= alpha:
+            dneg.add(p)
+    return frozenset(dpos), frozenset(dneg)
+
+
+def reference_resolve(it, x, a):
+    """Per-cell peer scan over every other object."""
+    cell = it.cell(x, a)
+    ref_cell = it.cell(x, cell.ref_attr)
+    if not isinstance(ref_cell, Known):
+        raise UnresolvedReferenceError(
+            f"cell ({x}, {a}): reference cell ({x}, {cell.ref_attr}) is not a known value"
+        )
+    values = set()
+    for y in it.objects:
+        if y == x:
+            continue
+        peer_ref = it.cell(y, cell.ref_attr)
+        peer_val = it.cell(y, a)
+        if isinstance(peer_ref, Known) and peer_ref.value == ref_cell.value and isinstance(peer_val, Known):
+            values.add(peer_val.value)
+    if not values:
+        raise EmptyResolutionError(
+            f"cell ({x}, {a}): no peer object with {cell.ref_attr}={ref_cell.value} "
+            f"supplies a known value"
+        )
+    return frozenset(values)
+
+
+# --------------------------------------------------------------------------
+# Strategies
+
+
+def _schemas(draw, max_attrs=3):
+    return tuple(
+        AttributeSchema(f"a{i + 1}", tuple(str(v) for v in range(draw(st.integers(1, 3)))))
+        for i in range(draw(st.integers(1, max_attrs)))
+    )
+
+
+@st.composite
+def pooled_tables(draw):
+    """A set-valued table whose rows repeat a few pooled rows, and a class."""
+    schemas = _schemas(draw)
+    options = {
+        s.name: [
+            frozenset(combo)
+            for size in range(1, len(s.domain) + 1)
+            for combo in itertools.combinations(s.domain, size)
+        ]
+        + [frozenset({NA})]
+        for s in schemas
+    }
+    pool = draw(
+        st.lists(
+            st.tuples(*(st.sampled_from(options[s.name]) for s in schemas)), min_size=1, max_size=4
+        )
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    objects = tuple(f"x{j + 1}" for j in range(len(rows)))
+    cells = {(x, s.name): row[i] for x, row in zip(objects, rows) for i, s in enumerate(schemas)}
+    table = SetValuedTable(objects, schemas, cells)
+    members = frozenset(x for x in objects if draw(st.booleans()))
+    attrs = tuple(a for a in table.attribute_names if draw(st.booleans())) or table.attribute_names
+    return table, attrs, members
+
+
+def _alpha(draw, attained):
+    return draw(st.sampled_from(sorted({Fraction(0), Fraction(1), *attained})))
+
+
+def _case(draw):
+    table, attrs, members = draw(pooled_tables())
+    kind = draw(st.sampled_from(list(TNorm)))
+    return table, attrs, members, kind
+
+
+# --------------------------------------------------------------------------
+# Builders against their references
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_alpha_sim_matches_reference(data):
+    table, attrs, members, kind = _case(data.draw)
+    attained = {similarity(table, attrs, kind, x, y) for x in table.objects for y in table.objects}
+    alpha = _alpha(data.draw, attained)
+    got = description_regions_alpha_sim(table, attrs, alpha, members, kind)
+    assert got == reference_alpha_sim(table, attrs, alpha, members, kind)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_approx_matches_reference(data):
+    table, attrs, members, kind = _case(data.draw)
+    attained = set()
+    for x in table.objects:
+        apr = approximability(table, attrs, kind, members, x)
+        attained |= {apr.positive, apr.negative}
+    alpha = _alpha(data.draw, attained)
+    got = description_regions_approx(table, attrs, alpha, members, kind)
+    assert got == reference_approx(table, attrs, alpha, members, kind)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_alpha_meaning_matches_reference(data):
+    table, attrs, members, kind = _case(data.draw)
+    language = enumerate_cdl(tuple(map(table.schema, attrs)), STRICT)
+    attained = {sat_degree(table, x, p, kind) for p in language for x in table.objects}
+    alpha = _alpha(data.draw, attained)
+    got = description_regions_alpha_meaning(table, attrs, alpha, members, kind)
+    assert got == reference_alpha_meaning(table, attrs, alpha, members, kind)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_confidence_matches_reference(data):
+    table, attrs, members, kind = _case(data.draw)
+    attained = set()
+    for p in enumerate_cdl(tuple(map(table.schema, attrs)), STRICT):
+        conf = confidence(table, p, members, kind)
+        attained |= {conf.accept, conf.reject}
+    alpha = _alpha(data.draw, attained)
+    got = description_regions_confidence(table, attrs, alpha, members, kind)
+    assert got == reference_confidence(table, attrs, alpha, members, kind)
+
+
+@DIFFERENTIAL
+@given(pooled_tables(), st.sampled_from(list(TNorm)))
+def test_matrix_matches_pairwise_similarity(case, kind):
+    table, attrs, _ = case
+    matrix = similarity_matrix(table, attrs, kind)
+    for x in table.objects:
+        for y in table.objects:
+            assert matrix.degree(x, y) == similarity(table, attrs, kind, x, y), (x, y)
+
+
+def test_shared_row_degree_is_not_one():
+    """Two different objects with the same non-singleton row are similar
+    to degree fold(1/|cell|); only an object and itself reach 1."""
+    schemas = (AttributeSchema("a", ("0", "1")), AttributeSchema("b", ("0", "1", "2")))
+    row = {"a": frozenset({"0", "1"}), "b": frozenset({"0", "1", "2"})}
+    table = SetValuedTable(("x1", "x2"), schemas, {(x, a): row[a] for x in ("x1", "x2") for a in row})
+    assert similarity_matrix(table, ("a", "b"), TNorm.MIN).degree("x1", "x2") == Fraction(1, 3)
+    assert similarity_matrix(table, ("a", "b"), TNorm.PRODUCT).degree("x1", "x2") == Fraction(1, 6)
+    assert similarity_matrix(table, ("a", "b"), TNorm.MIN).degree("x1", "x1") == 1
+    # Alpha 1/2 leaves x1's class {x1}, inside the class {x1}.
+    dpos, dneg = description_regions_alpha_sim(table, ("a", "b"), Fraction(1, 2), {"x1"}, TNorm.MIN)
+    assert dpos == cdes(table, ("a", "b"), "x1") and dneg == cdes(table, ("a", "b"), "x2")
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        description_regions_alpha_sim,
+        description_regions_approx,
+        description_regions_alpha_meaning,
+        description_regions_confidence,
+    ],
+)
+def test_builders_reject_unknown_kind(setvalued8, builder):
+    with pytest.raises(ValueError, match="unknown T-norm"):
+        builder(setvalued8, ("a1", "a2"), Fraction(1, 2), {"x1"}, "min")
+
+
+# --------------------------------------------------------------------------
+# Indexed class-specific resolution
+
+
+@st.composite
+def incomplete_tables(draw):
+    schemas = _schemas(draw, max_attrs=3)
+    names = [s.name for s in schemas]
+    objects = tuple(f"x{j + 1}" for j in range(draw(st.integers(1, 8))))
+
+    def cell(schema):
+        variants = [st.sampled_from(schema.domain).map(Known), st.just(DoNotCare()), st.just(NotApplicable())]
+        if len(schema.domain) >= 2:
+            variants.append(
+                st.sets(st.sampled_from(schema.domain), min_size=2).map(lambda v: Partial(frozenset(v)))
+            )
+        others = [n for n in names if n != schema.name]
+        if others:
+            variants.append(st.sampled_from(others).map(ClassSpecific))
+        # Known cells dominate, so references usually resolve.
+        return draw(st.one_of(variants[0], variants[0], *variants))
+
+    cells = {(x, s.name): cell(s) for x in objects for s in schemas}
+    return IncompleteTable(objects, schemas, cells)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ResolutionError as exc:
+        return type(exc), str(exc)
+
+
+@DIFFERENTIAL
+@given(incomplete_tables())
+def test_indexed_resolution_matches_peer_scan(it):
+    slots = [
+        (x, s.name)
+        for x in it.objects
+        for s in it.attributes
+        if isinstance(it.cells[(x, s.name)], ClassSpecific)
+    ]
+    for x, a in slots:
+        assert _outcome(resolve_class_specific, it, x, a) == _outcome(reference_resolve, it, x, a)
+    # The whole table fails on its first failing cell in row order, with
+    # that cell's error; otherwise every cell holds its resolution.
+    first_failure = next(
+        (o for o in (_outcome(reference_resolve, it, x, a) for x, a in slots) if isinstance(o, tuple)),
+        None,
+    )
+    got = _outcome(to_set_valued, it)
+    if first_failure is not None:
+        assert got == first_failure
+    else:
+        for x, a in slots:
+            assert got.cells[(x, a)] == reference_resolve(it, x, a)

@@ -24,7 +24,7 @@ from .language import (
     STRICT,
     enumerate_cdl,
     formula_json,
-    formula_sort_key,
+    formula_sort_key_for,
     object_description,
     render_formula,
 )
@@ -264,7 +264,7 @@ def _strip_na_atoms(formulas, strip: list[str] | None, attrs) -> frozenset[Formu
 
 
 def _sorted_formulas(formulas, schemas) -> list[Formula]:
-    return sorted(formulas, key=lambda p: formula_sort_key(p, schemas))
+    return sorted(formulas, key=formula_sort_key_for(schemas))
 
 
 def _block_lists(st, blocks) -> list[list[str]]:
@@ -279,9 +279,7 @@ def _derive(args, schemas, dpos, dneg, label, kind, alpha) -> RuleSet:
         alpha=alpha,
         class_label=label,
     )
-    return derive_rules(
-        dpos, dneg, provenance, sort_key=lambda p: formula_sort_key(p, schemas)
-    )
+    return derive_rules(dpos, dneg, provenance, sort_key=formula_sort_key_for(schemas))
 
 
 def _setup(args):

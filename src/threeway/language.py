@@ -18,7 +18,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
 from .table import NA, AttributeSchema, SetValuedTable, is_complete
@@ -117,22 +117,30 @@ def enumerate_cdl(
                 out.append(
                     Formula(tuple(Atom(schemas[i].name, v) for i, v in zip(combo, values)))
                 )
-    out.sort(key=lambda p: formula_sort_key(p, schemas))
+    out.sort(key=formula_sort_key_for(schemas))
     return out
 
 
 def formula_sort_key(p: Formula, schemas: Sequence[AttributeSchema]):
     """Sort key reproducing the enumeration order of :func:`enumerate_cdl`."""
-    attr_rank = {s.name: i for i, s in enumerate(schemas)}
-    by_name = {s.name: s for s in schemas}
-    pairs = []
-    for atom in p.atoms:
-        if atom.attr not in attr_rank:
-            raise UnknownIdError(f"formula attribute {atom.attr!r} not in schema")
-        domain = by_name[atom.attr].domain
-        value_rank = domain.index(atom.value) if atom.value in domain else len(domain)
-        pairs.append((attr_rank[atom.attr], value_rank))
-    return (len(pairs), tuple(sorted(pairs)))
+    return formula_sort_key_for(schemas)(p)
+
+
+def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formula], tuple]:
+    """:func:`formula_sort_key` with ``schemas`` fixed. The rank tables are
+    built once, so a sort over many formulas does not rebuild them."""
+    ranks = {s.name: (i, {v: j for j, v in enumerate(s.domain)}) for i, s in enumerate(schemas)}
+
+    def key(p: Formula) -> tuple:
+        pairs = []
+        for atom in p.atoms:
+            if atom.attr not in ranks:
+                raise UnknownIdError(f"formula attribute {atom.attr!r} not in schema")
+            attr_rank, value_ranks = ranks[atom.attr]
+            pairs.append((attr_rank, value_ranks.get(atom.value, len(value_ranks))))
+        return (len(pairs), tuple(sorted(pairs)))
+
+    return key
 
 
 def satisfies(row: Mapping[str, str], p: Formula) -> bool:

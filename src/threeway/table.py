@@ -36,7 +36,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 from .errors import (
     DomainInferenceWarning,
@@ -136,6 +136,19 @@ class _Grid:
                 if (x, a) not in self.cells:
                     raise ValueError(f"missing cell ({x}, {a})")
 
+    def _distinct_cells(self) -> Iterator[tuple[str, str, object]]:
+        """``(object, attribute, cell)`` for the first cell of each instance
+        per attribute, in ``cells`` order. The tables parse_table and
+        to_set_valued build share one instance among the equal cells of an
+        attribute, so a check of each cell instance checks each distinct
+        cell once and still fails on the first bad cell."""
+        seen: set[tuple[str, int]] = set()
+        for (x, name), cell in self.cells.items():
+            key = (name, id(cell))
+            if key not in seen:
+                seen.add(key)
+                yield x, name, cell
+
     @property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(self._by_name)
@@ -192,11 +205,11 @@ class IncompleteTable(_Grid):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for (x, name), cell in self.cells.items():
-            schema = self._by_name[name]
-            if isinstance(cell, Known) and cell.value not in schema.domain:
+        domains = {name: set(schema.domain) for name, schema in self._by_name.items()}
+        for x, name, cell in self._distinct_cells():
+            if isinstance(cell, Known) and cell.value not in domains[name]:
                 raise ValueError(f"cell ({x}, {name}): value {cell.value!r} outside domain")
-            if isinstance(cell, Partial) and not cell.values <= set(schema.domain):
+            if isinstance(cell, Partial) and not cell.values <= domains[name]:
                 raise ValueError(f"cell ({x}, {name}): partial values outside domain")
             if isinstance(cell, ClassSpecific):
                 if cell.ref_attr == name:
@@ -216,13 +229,14 @@ class SetValuedTable(_Grid):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for (x, name), values in self.cells.items():
+        domains = {name: set(schema.domain) for name, schema in self._by_name.items()}
+        for x, name, values in self._distinct_cells():
             if not values:
                 raise ValueError(f"cell ({x}, {name}) is empty")
             if NA in values:
                 if len(values) > 1:
                     raise ValueError(f"cell ({x}, {name}) mixes {NA} with domain values")
-            elif not values <= set(self._by_name[name].domain):
+            elif not values <= domains[name]:
                 raise ValueError(f"cell ({x}, {name}) holds tokens outside the domain")
 
     def ordered_cell(self, x: str, a: str) -> tuple[str, ...]:
@@ -292,31 +306,46 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
 
     Known(v) maps to {v}, do-not-care to the full domain, partially-known
     to its value set, class-specific to its resolution, non-applicable to
-    {NA}. Class-specific cells resolve through one index of peer values
-    per (reference attribute, attribute) pair.
+    {NA}. The cells of an attribute that share one cell instance, as the
+    equal cells from :func:`parse_table` do, share one set; class-specific
+    cells resolve per object through one index of peer values per
+    (reference attribute, attribute) pair.
     """
     cells: dict[tuple[str, str], frozenset[str]] = {}
     peers: dict[tuple[str, str], dict[str, frozenset[str]]] = {}
+    # Value set per cell instance and attribute; ``it`` keeps every cell
+    # alive, so no id is reused while these maps exist.
+    interned: dict[str, dict[int, frozenset[str]]] = {a: {} for a in it.attribute_names}
+    source = it.cells
     for x in it.objects:
         for schema in it.attributes:
             a = schema.name
-            cell = it.cell(x, a)
-            if isinstance(cell, Known):
-                cells[(x, a)] = frozenset({cell.value})
-            elif isinstance(cell, DoNotCare):
-                cells[(x, a)] = frozenset(schema.domain)
-            elif isinstance(cell, Partial):
-                cells[(x, a)] = cell.values
-            elif isinstance(cell, ClassSpecific):
-                key = (cell.ref_attr, a)
-                if key not in peers:
-                    peers[key] = _peer_values(it, *key)
-                cells[(x, a)] = _resolve(it, x, a, cell.ref_attr, peers[key])
-            elif isinstance(cell, NotApplicable):
-                cells[(x, a)] = frozenset({NA})
-            else:  # pragma: no cover - union is closed
-                raise TypeError(f"unknown cell variant {cell!r}")
+            key = (x, a)
+            cell = source[key]
+            values = interned[a].get(id(cell))
+            if values is None:
+                if isinstance(cell, ClassSpecific):
+                    peer_key = (cell.ref_attr, a)
+                    if peer_key not in peers:
+                        peers[peer_key] = _peer_values(it, *peer_key)
+                    values = _resolve(it, x, a, cell.ref_attr, peers[peer_key])
+                else:
+                    values = interned[a][id(cell)] = _values(cell, schema)
+            cells[key] = values
     return SetValuedTable(it.objects, it.attributes, cells)
+
+
+def _values(cell: Cell, schema: AttributeSchema) -> frozenset[str]:
+    """The value set of a cell that is not class-specific."""
+    if isinstance(cell, Known):
+        return frozenset({cell.value})
+    if isinstance(cell, DoNotCare):
+        return frozenset(schema.domain)
+    if isinstance(cell, Partial):
+        return cell.values
+    if isinstance(cell, NotApplicable):
+        return frozenset({NA})
+    raise TypeError(f"unknown cell variant {cell!r}")  # pragma: no cover - union is closed
 
 
 def is_complete(st: SetValuedTable) -> bool:
@@ -377,107 +406,163 @@ _PARTIAL_RE = re.compile(r"^\{(.*)\}$")
 _CLASS_SPECIFIC_RE = re.compile(r"^\^\(([^()\s]+)\)$")
 
 
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _column(line: str, index: int) -> int:
+    """1-based column of the ``index``-th token of ``line``. Rows are split
+    without positions; a position is found only for an error message."""
+    body = line.split("#", 1)[0]
+    return [m.start() + 1 for m in re.finditer(r"\S+", body)][index]
 
 
 def parse_table(text: str) -> IncompleteTable:
     """Parse ``.itab`` source into an :class:`IncompleteTable`.
 
-    Raises :class:`TableParseError` with line/column positions for syntax
-    errors, unknown reference attributes, out-of-domain values, and
-    duplicate object identifiers.
+    Raises :class:`TableParseError` for syntax errors, unknown reference
+    attributes, out-of-domain values, and duplicate object identifiers;
+    its ``line`` and ``column`` are 1-based. Of several errors, the one
+    raised is the first by this precedence: line structure (directives,
+    object ids, cell counts) in line order, then cell syntax in row-major
+    order, then domains (``*`` without ``@domain`` and domains that cannot
+    be inferred, in attribute order, then out-of-domain values in
+    row-major order).
+
+    Each distinct token of an attribute is parsed and checked once, and
+    the equal cells of an attribute share one instance.
     """
+    lines = text.splitlines()
     attr_names: list[str] | None = None
     declared: dict[str, tuple[str, ...]] = {}
-    raw_rows: list[tuple[int, str, list[tuple[str, int]]]] = []
-    seen_objects: set[str] = set()
+    objects: list[str] = []
+    objects_seen: set[str] = set()
+    rows: list[list[str]] = []
+    row_lines: list[int] = []
     in_objects = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = _tokenize(body)
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        head, head_col = tokens[0]
+        head = tokens[0]
         if head == "@attributes":
             if attr_names is not None:
-                raise TableParseError("duplicate @attributes directive", line_no, head_col)
-            attr_names = [t for t, _ in tokens[1:]]
+                raise TableParseError("duplicate @attributes directive", line_no, _column(raw, 0))
+            attr_names = tokens[1:]
             if not attr_names:
-                raise TableParseError("@attributes needs at least one name", line_no, head_col)
+                raise TableParseError("@attributes needs at least one name", line_no, _column(raw, 0))
             if len(set(attr_names)) != len(attr_names):
-                raise TableParseError("duplicate attribute name", line_no, head_col)
+                raise TableParseError("duplicate attribute name", line_no, _column(raw, 0))
         elif head == "@domain":
             if attr_names is None:
-                raise TableParseError("@domain before @attributes", line_no, head_col)
+                raise TableParseError("@domain before @attributes", line_no, _column(raw, 0))
             if len(tokens) < 3:
-                raise TableParseError("@domain needs an attribute and at least one value", line_no, head_col)
-            name, name_col = tokens[1]
+                raise TableParseError(
+                    "@domain needs an attribute and at least one value", line_no, _column(raw, 0)
+                )
+            name, values = tokens[1], tokens[2:]
             if name not in attr_names:
-                raise TableParseError(f"unknown attribute {name!r} in @domain", line_no, name_col)
+                raise TableParseError(f"unknown attribute {name!r} in @domain", line_no, _column(raw, 1))
             if name in declared:
-                raise TableParseError(f"duplicate @domain for {name!r}", line_no, name_col)
-            values = [t for t, _ in tokens[2:]]
+                raise TableParseError(f"duplicate @domain for {name!r}", line_no, _column(raw, 1))
             if len(set(values)) != len(values):
-                raise TableParseError(f"duplicate domain value for {name!r}", line_no, name_col)
+                raise TableParseError(f"duplicate domain value for {name!r}", line_no, _column(raw, 1))
             if NA in values:
-                raise TableParseError(f"{NA} cannot be a domain value", line_no, name_col)
+                raise TableParseError(f"{NA} cannot be a domain value", line_no, _column(raw, 1))
             declared[name] = tuple(values)
         elif head == "@objects":
             if attr_names is None:
-                raise TableParseError("@objects before @attributes", line_no, head_col)
+                raise TableParseError("@objects before @attributes", line_no, _column(raw, 0))
             in_objects = True
         elif head.startswith("@"):
-            raise TableParseError(f"unknown directive {head!r}", line_no, head_col)
+            raise TableParseError(f"unknown directive {head!r}", line_no, _column(raw, 0))
         else:
             if not in_objects:
-                raise TableParseError("object row before @objects", line_no, head_col)
+                raise TableParseError("object row before @objects", line_no, _column(raw, 0))
             assert attr_names is not None
-            if head in seen_objects:
-                raise TableParseError(f"duplicate object id {head!r}", line_no, head_col)
-            seen_objects.add(head)
+            if head in objects_seen:
+                raise TableParseError(f"duplicate object id {head!r}", line_no, _column(raw, 0))
+            objects_seen.add(head)
             if len(tokens) - 1 != len(attr_names):
                 raise TableParseError(
                     f"object {head!r} has {len(tokens) - 1} cells, expected {len(attr_names)}",
                     line_no,
-                    head_col,
+                    _column(raw, 0),
                 )
-            raw_rows.append((line_no, head, tokens[1:]))
+            objects.append(head)
+            rows.append(tokens[1:])
+            row_lines.append(line_no)
 
     if attr_names is None:
         raise TableParseError("missing @attributes directive")
-    if not raw_rows:
+    if not rows:
         raise TableParseError("table has no object rows")
+    columns = list(zip(*rows))
 
-    parsed: dict[tuple[str, str], tuple[Cell, int, int]] = {}
-    for line_no, obj, cell_tokens in raw_rows:
-        for name, (token, col) in zip(attr_names, cell_tokens):
-            parsed[(obj, name)] = (_parse_cell(token, name, attr_names, line_no, col), line_no, col)
+    def fail_first(bad: dict[int, dict[str, str]]) -> NoReturn:
+        """Raise the message of the first cell, in row-major order, whose
+        token ``bad`` lists under its attribute's index."""
+        i, j = min(
+            (next(i for i, token in enumerate(columns[j]) if token in messages), j)
+            for j, messages in bad.items()
+        )
+        line_no = row_lines[i]
+        raise TableParseError(bad[j][columns[j][i]], line_no, _column(lines[line_no - 1], j + 1))
 
-    domains = _finish_domains(attr_names, declared, parsed)
+    # One token -> cell map per attribute: each distinct token is parsed once.
+    parsed: list[dict[str, Cell]] = []
+    bad: dict[int, dict[str, str]] = {}
+    for j, (name, column) in enumerate(zip(attr_names, columns)):
+        cells_of: dict[str, Cell] = {}
+        for token in dict.fromkeys(column):
+            try:
+                cells_of[token] = _parse_cell(token, name, attr_names)
+            except TableParseError as exc:
+                bad.setdefault(j, {})[token] = str(exc)
+        parsed.append(cells_of)
+    if bad:
+        fail_first(bad)
 
-    cells: dict[tuple[str, str], Cell] = {}
-    for (obj, name), (cell, line_no, col) in parsed.items():
-        domain = domains[name]
-        if isinstance(cell, Known) and cell.value not in domain:
-            raise TableParseError(
-                f"value {cell.value!r} outside the domain of {name!r}", line_no, col
-            )
-        if isinstance(cell, Partial):
-            stray = cell.values - set(domain)
-            if stray:
-                raise TableParseError(
-                    f"values {sorted(stray)!r} outside the domain of {name!r}", line_no, col
-                )
-        cells[(obj, name)] = cell
+    domains: dict[str, tuple[str, ...]] = {}
+    for j, (name, cells_of) in enumerate(zip(attr_names, parsed)):
+        if name in declared:
+            domains[name] = declared[name]
+            continue
+        if "*" in cells_of:
+            fail_first({j: {"*": f"attribute {name!r} uses '*' but declares no @domain"}})
+        observed: set[str] = set()
+        for cell in cells_of.values():
+            if isinstance(cell, Known):
+                observed.add(cell.value)
+            elif isinstance(cell, Partial):
+                observed |= cell.values
+        if not observed:
+            raise TableParseError(f"cannot infer a domain for attribute {name!r}")
+        warnings.warn(
+            f"domain of {name!r} inferred from observed tokens", DomainInferenceWarning, stacklevel=2
+        )
+        domains[name] = tuple(sorted(observed))
 
+    for j, (name, cells_of) in enumerate(zip(attr_names, parsed)):
+        domain = set(domains[name])
+        for token, cell in cells_of.items():
+            if isinstance(cell, Known) and cell.value not in domain:
+                bad.setdefault(j, {})[token] = f"value {cell.value!r} outside the domain of {name!r}"
+            elif isinstance(cell, Partial) and not cell.values <= domain:
+                stray = sorted(cell.values - domain)
+                bad.setdefault(j, {})[token] = f"values {stray!r} outside the domain of {name!r}"
+    if bad:
+        fail_first(bad)
+
+    cells = {
+        (x, name): cells_of[token]
+        for x, tokens in zip(objects, rows)
+        for name, cells_of, token in zip(attr_names, parsed, tokens)
+    }
     schemas = tuple(AttributeSchema(name, domains[name]) for name in attr_names)
-    objects = tuple(obj for _, obj, _ in raw_rows)
-    return IncompleteTable(objects, schemas, cells)
+    return IncompleteTable(tuple(objects), schemas, cells)
 
 
-def _parse_cell(token: str, attr: str, attr_names: list[str], line_no: int, col: int) -> Cell:
+def _parse_cell(token: str, attr: str, attr_names: list[str]) -> Cell:
+    """The cell ``token`` denotes in column ``attr``; a syntax error is
+    raised without a position, which the caller adds."""
     if token == "*":
         return DoNotCare()
     if token == NA:
@@ -486,51 +571,18 @@ def _parse_cell(token: str, attr: str, attr_names: list[str], line_no: int, col:
     if match:
         values = [v for v in match.group(1).split("|") if v]
         if len(set(values)) < 2:
-            raise TableParseError(
-                "partially-known cell requires at least 2 distinct values", line_no, col
-            )
+            raise TableParseError("partially-known cell requires at least 2 distinct values")
         if NA in values:
-            raise TableParseError(f"{NA} cannot appear in a partially-known cell", line_no, col)
+            raise TableParseError(f"{NA} cannot appear in a partially-known cell")
         return Partial(frozenset(values))
     match = _CLASS_SPECIFIC_RE.match(token)
     if match:
         ref = match.group(1)
         if ref not in attr_names:
-            raise TableParseError(f"unknown reference attribute {ref!r}", line_no, col)
+            raise TableParseError(f"unknown reference attribute {ref!r}")
         if ref == attr:
-            raise TableParseError("class-specific cell cannot reference its own attribute", line_no, col)
+            raise TableParseError("class-specific cell cannot reference its own attribute")
         return ClassSpecific(ref)
     if token.startswith("^") or token.startswith("{"):
-        raise TableParseError(f"malformed cell {token!r}", line_no, col)
+        raise TableParseError(f"malformed cell {token!r}")
     return Known(token)
-
-
-def _finish_domains(
-    attr_names: list[str],
-    declared: dict[str, tuple[str, ...]],
-    parsed: Mapping[tuple[str, str], tuple[Cell, int, int]],
-) -> dict[str, tuple[str, ...]]:
-    domains: dict[str, tuple[str, ...]] = {}
-    for name in attr_names:
-        column = [(cell, line, col) for (obj, a), (cell, line, col) in parsed.items() if a == name]
-        if name in declared:
-            domains[name] = declared[name]
-            continue
-        for cell, line, col in column:
-            if isinstance(cell, DoNotCare):
-                raise TableParseError(
-                    f"attribute {name!r} uses '*' but declares no @domain", line, col
-                )
-        observed: set[str] = set()
-        for cell, _, _ in column:
-            if isinstance(cell, Known):
-                observed.add(cell.value)
-            elif isinstance(cell, Partial):
-                observed |= cell.values
-        if not observed:
-            raise TableParseError(f"cannot infer a domain for attribute {name!r}")
-        warnings.warn(
-            f"domain of {name!r} inferred from observed tokens", DomainInferenceWarning, stacklevel=3
-        )
-        domains[name] = tuple(sorted(observed))
-    return domains

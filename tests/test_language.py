@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from threeway import (
     render_formula,
     satisfies,
 )
-from threeway.language import cdl_size, formula_json, formula_sort_key
+from threeway.language import cdl_size, formula_json, formula_sort_key, formula_sort_key_for
 
 
 def nonempty_subsets(schemas):
@@ -62,6 +63,32 @@ class TestEnumeration:
         out = enumerate_cdl(setvalued8.attributes)
         keys = [formula_sort_key(p, setvalued8.attributes) for p in out]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("mode", (STRICT, EXTENDED))
+    def test_sort_key_restores_enumeration_order(self, setvalued8, mode):
+        schemas = setvalued8.attributes
+        out = enumerate_cdl(schemas, mode)
+        shuffled = list(out)
+        random.Random(0).shuffle(shuffled)
+        assert sorted(shuffled, key=lambda p: formula_sort_key(p, schemas)) == out
+        assert sorted(shuffled, key=formula_sort_key_for(schemas)) == out
+
+    def test_sort_key_values(self, complete6, setvalued8):
+        """The keys are those of the definition that looked each value up in
+        its domain tuple; an NA atom ranks after the domain."""
+
+        def reference_key(p, schemas):
+            rank = {s.name: i for i, s in enumerate(schemas)}
+            domain = {s.name: s.domain for s in schemas}
+            pairs = [
+                (rank[a.attr], domain[a.attr].index(a.value) if a.value in domain[a.attr] else len(domain[a.attr]))
+                for a in p.atoms
+            ]
+            return (len(pairs), tuple(sorted(pairs)))
+
+        for schemas in (complete6.attributes, setvalued8.attributes):
+            for p in enumerate_cdl(schemas, EXTENDED):
+                assert formula_sort_key(p, schemas) == reference_key(p, schemas)
 
     def test_structural_inventory(self, setvalued8):
         out = set(enumerate_cdl(setvalued8.attributes))

@@ -8,6 +8,7 @@ from threeway import (
     DomainInferenceWarning,
     EmptyResolutionError,
     GuardExceededError,
+    IncompleteTable,
     Known,
     NotApplicable,
     Partial,
@@ -125,6 +126,23 @@ class TestSetValuedConversion:
         for (x, a), cell in it.cells.items():
             assert st.cell(x, a) == frozenset({cell.value})
 
+    def test_equal_cells_share_one_instance(self, setvalued8_source):
+        it = parse_table(setvalued8_source)
+        assert it.cell("x1", "a1") is it.cell("x3", "a1")
+        assert it.cell("x5", "a1") is it.cell("x6", "a1")
+        st = to_set_valued(it)
+        assert st.cell("x1", "a1") is st.cell("x3", "a1")
+        assert st.cell("x5", "a1") is st.cell("x6", "a1")
+        assert st.cell("x7", "a1") is st.cell("x8", "a1")
+
+    def test_cell_instance_shared_across_attributes(self):
+        star = DoNotCare()
+        schemas = (AttributeSchema("a", ("1", "2")), AttributeSchema("b", ("3",)))
+        it = IncompleteTable(("x1", "x2"), schemas, {(x, a.name): star for x in ("x1", "x2") for a in schemas})
+        st = to_set_valued(it)
+        assert st.cell("x2", "a") == frozenset({"1", "2"})
+        assert st.cell("x2", "b") == frozenset({"3"})
+
     def test_cells_stay_in_domain(self, setvalued8):
         for (x, a), values in setvalued8.cells.items():
             domain = set(setvalued8.schema(a).domain)
@@ -191,3 +209,19 @@ class TestSchemaInvariants:
         cells[("x7", "a1")] = frozenset({"NA", "0"})
         with pytest.raises(ValueError, match="mixes"):
             SetValuedTable(setvalued8.objects, setvalued8.attributes, cells)
+
+    def test_first_bad_cell_in_order_is_reported(self):
+        schemas = (AttributeSchema("a", ("1",)), AttributeSchema("b", ("1", "2")))
+        two = Known("2")
+        cells = {("x1", "a"): Known("1"), ("x1", "b"): two, ("x2", "a"): two, ("x2", "b"): Known("9")}
+        with pytest.raises(ValueError, match=r"cell \(x2, a\): value '2' outside domain"):
+            IncompleteTable(("x1", "x2"), schemas, cells)
+
+    def test_set_shared_across_attributes_is_checked_in_each(self):
+        from threeway import SetValuedTable
+
+        schemas = (AttributeSchema("a", ("1", "2")), AttributeSchema("b", ("1",)))
+        both = frozenset({"1", "2"})
+        cells = {("x1", "a"): both, ("x1", "b"): frozenset({"1"}), ("x2", "a"): both, ("x2", "b"): both}
+        with pytest.raises(ValueError, match=r"cell \(x2, b\) holds tokens outside the domain"):
+            SetValuedTable(("x1", "x2"), schemas, cells)

@@ -91,6 +91,23 @@ def cdl_size(schemas: Sequence[AttributeSchema], mode: str = STRICT) -> int:
     return math.prod(len(_alphabet(s, mode)) + 1 for s in schemas) - 1
 
 
+def check_cdl_size(
+    schemas: Sequence[AttributeSchema],
+    mode: str = STRICT,
+    max_formulas: int = DEFAULT_MAX_FORMULAS,
+) -> int:
+    """Size guard of every walk over the language, raised before any work:
+    the attribute subset must be nonempty and the :func:`cdl_size` at most
+    ``max_formulas``. Returns the size."""
+    _check_mode(mode)
+    if not schemas:
+        raise ValueError("attribute subset must be nonempty")
+    total = cdl_size(schemas, mode)
+    if total > max_formulas:
+        raise GuardExceededError(f"{total} formulas exceed the cap of {max_formulas}")
+    return total
+
+
 def enumerate_cdl(
     schemas: Sequence[AttributeSchema],
     mode: str = STRICT,
@@ -102,12 +119,7 @@ def enumerate_cdl(
     by value positions in domain order. The total count matches
     :func:`cdl_size`.
     """
-    _check_mode(mode)
-    if not schemas:
-        raise ValueError("attribute subset must be nonempty")
-    total = cdl_size(schemas, mode)
-    if total > max_formulas:
-        raise GuardExceededError(f"{total} formulas exceed the cap of {max_formulas}")
+    check_cdl_size(schemas, mode, max_formulas)
     out: list[Formula] = []
     indices = range(len(schemas))
     for size in range(1, len(schemas) + 1):

@@ -9,8 +9,15 @@ implication and the standard negator. Formulas here are strict: ``NA`` is
 not an admissible atom value, and an ``{NA}`` cell satisfies every atom
 on that attribute to degree 0.
 
-The region builders run on an integer kernel (end of this module) that
-reads each column once and folds integer denominators; they call none of
+The region builders run on an integer search (end of this module): a
+depth-first walk over the set-enumeration tree of strict formulas, in
+which each formula's degrees 1/N follow from its parent's and one atom
+column, and a subtree is skipped when none of its formulas can enter a
+region. Two bounds make that safe, because adding an atom never lowers N:
+an object that misses alpha on a formula misses it on every extension,
+and a formula's acceptance (rejection) confidence is at most the class
+(complement) side's max D under MIN, 1 - prod (1 - D) under PRODUCT,
+which never grows down the tree. The builders call none of
 ``sat_degree``, ``sat_profile``, ``alpha_meaning_set``, ``confidence`` or
 ``confidence_closed``, which evaluate the defining expressions and serve
 as references.
@@ -19,12 +26,13 @@ as references.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, implication, negate, tnorm
-from .language import DEFAULT_MAX_FORMULAS, Formula, STRICT, enumerate_cdl
+from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, check_cdl_size
 from .table import NA, SetValuedTable
 
 
@@ -95,23 +103,24 @@ def description_regions_alpha_meaning(
     """
     members = st.class_set(x_set)
     attrs = st.attr_subset(attrs)
-    formulas = enumerate_cdl(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
     threshold = as_degree(alpha)
     a, b = threshold.numerator, threshold.denominator
-    inside, outside = _strict_columns(st, attrs, members)
-
-    def hit(columns, p) -> bool:
-        # Some object reaches alpha: 1/N >= a/b, or any degree when a is 0.
-        return any(not a or n and a * n <= b for n in _denominators(columns, p, kind))
-
+    # Alpha 0 is met by every object on every formula. Any other alpha is
+    # met by the objects of degree 1/N with N <= b/a, the only ones the
+    # search keeps; their set only shrinks down the tree, so a subtree
+    # without them on either side has no formula in a region.
+    everyone = (bool(members), len(members) < len(st.objects))
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
-    for p in formulas:
-        hit_in, hit_out = hit(inside, p), hit(outside, p)
-        if hit_in and not hit_out:
-            dpos.add(p)
-        elif hit_out and not hit_in:
-            dneg.add(p)
+
+    def visit(atoms, hits_in, hits_out) -> bool:
+        hit_in, hit_out = (bool(hits_in), bool(hits_out)) if a else everyone
+        if hit_in != hit_out:
+            (dpos if hit_in else dneg).add(Formula(atoms))
+        return hit_in or hit_out
+
+    _search(st, attrs, members, kind, visit, b // a if a else math.inf)
     return frozenset(dpos), frozenset(dneg)
 
 
@@ -186,63 +195,109 @@ def description_regions_confidence(
     members = st.class_set(x_set)
     threshold = as_degree(alpha)
     attrs = st.attr_subset(attrs)
-    formulas = enumerate_cdl(tuple(map(st.schema, attrs)), STRICT, max_formulas)
-    inside, outside = _strict_columns(st, attrs, members)
+    check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    a, b = threshold.numerator, threshold.denominator
+    # The closed forms of :func:`confidence_closed` on degrees 1/N, compared
+    # with alpha = a/b by cross-multiplying. accept is at most the class
+    # side's bound, max D under MIN and 1 - prod (1 - D) under PRODUCT,
+    # and reject the complement's; neither bound grows down the tree.
+    if kind is TNorm.MIN:
+        def side(ns: dict) -> tuple[bool, bool]:
+            # Whether max D = 1/min N, and whether 1 - max D, reach alpha.
+            m = min(ns.values(), default=0)
+            return (not a or 0 < m and a * m <= b), (not m or b * (m - 1) >= a * m)
+
+        def judge(ns_in: dict, ns_out: dict) -> tuple[bool, bool, bool]:
+            hi_in, lo_in = side(ns_in)
+            hi_out, lo_out = side(ns_out)
+            return hi_in and lo_out, hi_out and lo_in, hi_in or hi_out
+
+    else:  # PRODUCT; the search rejects any other kind.
+        def judge(ns_in: dict, ns_out: dict) -> tuple[bool, bool, bool]:
+            # prod (1 - D) = p / q on each side.
+            p_in, q_in = math.prod(n - 1 for n in ns_in.values()), math.prod(ns_in.values())
+            p_out, q_out = math.prod(n - 1 for n in ns_out.values()), math.prod(ns_out.values())
+            return (
+                b * p_out * (q_in - p_in) >= a * q_out * q_in,
+                b * p_in * (q_out - p_out) >= a * q_in * q_out,
+                b * (q_in - p_in) >= a * q_in or b * (q_out - p_out) >= a * q_out,
+            )
+
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
-    for p in formulas:
-        # The closed forms of :func:`confidence_closed`, from the
-        # denominators: max D is 1/min N, and 1 - D is (N - 1)/N.
-        ns_in = [n for n in _denominators(inside, p, kind) if n]
-        ns_out = [n for n in _denominators(outside, p, kind) if n]
-        if kind is TNorm.MIN:
-            hi_in = Fraction(1, min(ns_in)) if ns_in else ZERO
-            hi_out = Fraction(1, min(ns_out)) if ns_out else ZERO
-            accept = min(ONE - hi_out, hi_in)
-            reject = min(ONE - hi_in, hi_out)
-        else:
-            miss_in = Fraction(math.prod(n - 1 for n in ns_in), math.prod(ns_in))
-            miss_out = Fraction(math.prod(n - 1 for n in ns_out), math.prod(ns_out))
-            accept = miss_out * (ONE - miss_in)
-            reject = miss_in * (ONE - miss_out)
-        if accept >= threshold:
-            dpos.add(p)
-        if reject >= threshold:
-            dneg.add(p)
+
+    def visit(atoms, ns_in, ns_out) -> bool:
+        accept, reject, descend = judge(ns_in, ns_out)
+        if accept or reject:
+            p = Formula(atoms)
+            if accept:
+                dpos.add(p)
+            if reject:
+                dneg.add(p)
+        return descend
+
+    _search(st, attrs, members, kind, visit)
     return frozenset(dpos), frozenset(dneg)
 
 
 # --------------------------------------------------------------------------
-# Integer kernel. A strict formula holds on an object to degree 0 or 1/N
-# for an integer N: the largest |cell| over its atoms under MIN, their
-# product under PRODUCT, and 0 when some atom's value is not in its cell.
+# Search. A strict formula holds on an object to degree 0 or 1/N for an
+# integer N: the largest |cell| over its atoms under MIN, their product
+# under PRODUCT, and 0 when some atom's value is not in its cell. Adding an
+# atom never lowers N and never brings back an object of degree 0, so each
+# formula's denominators follow from its parent's and one atom column.
 
 
-def _strict_columns(
-    st: SetValuedTable, attrs: tuple[str, ...], members: frozenset[str]
-) -> tuple[dict, dict]:
-    """For the class and for its complement, each attribute's columns read
-    once: ``columns[a][v]`` lists, per object, |cell| when the cell holds
-    ``v`` and 0 otherwise. An ``{NA}`` cell holds no domain value."""
+def _search(
+    st: SetValuedTable,
+    attrs: tuple[str, ...],
+    members: frozenset[str],
+    kind: TNorm,
+    visit: Callable[[tuple[Atom, ...], dict, dict], bool],
+    cap: float = math.inf,
+) -> None:
+    """Depth first over the set-enumeration tree of the strict formulas on
+    ``attrs``, whose children add one atom on a later attribute.
 
-    def columns(objects: list[str]) -> dict[str, dict[str, list[int]]]:
-        out = {}
-        for a in attrs:
-            cells = [st.cells[(x, a)] for x in objects]
-            out[a] = {v: [len(c) if v in c else 0 for c in cells] for v in st.schema(a).domain}
-        return out
-
-    return (
-        columns([x for x in st.objects if x in members]),
-        columns([x for x in st.objects if x not in members]),
-    )
-
-
-def _denominators(columns: dict, p: Formula, kind: TNorm) -> list[int]:
-    """N of ``p`` on each object of ``columns``."""
-    per_object = zip(*(columns[atom.attr][atom.value] for atom in p.atoms))
+    Each formula reached is passed to ``visit`` as its atoms and, for the
+    class and for its complement, ``{object: N}`` over the objects of
+    degree 1/N > 0 with N <= ``cap``; its children are searched only when
+    ``visit`` returns true.
+    """
     if kind is TNorm.MIN:
-        return [0 if 0 in ns else max(ns) for ns in per_object]
-    if kind is TNorm.PRODUCT:
-        return [math.prod(ns) for ns in per_object]
-    raise ValueError(f"unknown T-norm kind {kind!r}")
+        fold = max
+    elif kind is TNorm.PRODUCT:
+        fold = operator.mul
+    else:
+        raise ValueError(f"unknown T-norm kind {kind!r}")
+    inside = [x for x in st.objects if x in members]
+    outside = [x for x in st.objects if x not in members]
+    # Per attribute, per value: an atom and its columns {object: |cell|}
+    # over the class and the complement objects whose cell holds the value.
+    # An {NA} cell holds no domain value.
+    levels = []
+    for a in attrs:
+        columns = {v: ({}, {}) for v in st.schema(a).domain}
+        for side, objects in enumerate((inside, outside)):
+            for x in objects:
+                cell = st.cells[(x, a)]
+                for v in cell:
+                    if v in columns:
+                        columns[v][side][x] = len(cell)
+        levels.append([(Atom(a, v), *pair) for v, pair in columns.items()])
+
+    def grow(ns: dict, column: dict) -> dict:
+        return {x: n for x in ns.keys() & column.keys() if (n := fold(ns[x], column[x])) <= cap}
+
+    # A stack, not a recursive closure, which would be a reference cycle
+    # holding the search state until the next garbage collection. The
+    # empty conjunction holds on every object to degree 1.
+    stack = [((), 0, dict.fromkeys(inside, 1), dict.fromkeys(outside, 1))]
+    while stack:
+        prefix, start, ns_in, ns_out = stack.pop()
+        for j in range(start, len(levels)):
+            for atom, column_in, column_out in levels[j]:
+                atoms = prefix + (atom,)
+                child_in, child_out = grow(ns_in, column_in), grow(ns_out, column_out)
+                if visit(atoms, child_in, child_out) and j + 1 < len(levels):
+                    stack.append((atoms, j + 1, child_in, child_out))

@@ -128,13 +128,19 @@ class _Grid:
             raise ValueError("duplicate attribute names")
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_by_name", by_name)
-        # The right count with every grid key present leaves no stray keys.
         if len(self.cells) != len(self.objects) * len(self.attributes):
             raise ValueError("cells map is not total over objects x attributes")
-        for x in self.objects:
-            for a in by_name:
-                if (x, a) not in self.cells:
-                    raise ValueError(f"missing cell ({x}, {a})")
+        # Keys are (object, attribute) tuples, so n*m distinct keys on the
+        # grid cover it; otherwise the scan in grid order names the first hole.
+        try:
+            on_grid = all(x in positions and a in by_name for x, a in self.cells)
+        except (TypeError, ValueError):  # a key that is not a pair
+            on_grid = False
+        if not on_grid:
+            for x in self.objects:
+                for a in by_name:
+                    if (x, a) not in self.cells:
+                        raise ValueError(f"missing cell ({x}, {a})")
 
     def _distinct_cells(self) -> Iterator[tuple[str, str, object]]:
         """``(object, attribute, cell)`` for the first cell of each instance
@@ -269,18 +275,26 @@ def resolve_class_specific(it: IncompleteTable, x: str, a: str) -> frozenset[str
     cell = it.cell(x, a)
     if not isinstance(cell, ClassSpecific):
         raise ValueError(f"cell ({x}, {a}) is not class-specific")
-    return _resolve(it, x, a, cell.ref_attr, _peer_values(it, cell.ref_attr, a))
+    peers = _peer_values(_known_column(it, cell.ref_attr), _known_column(it, a))
+    return _resolve(it, x, a, cell.ref_attr, peers)
 
 
-def _peer_values(it: IncompleteTable, ref_attr: str, a: str) -> dict[str, frozenset[str]]:
-    """Known values of ``a``, keyed by the known value of ``ref_attr`` beside
-    them, in one pass over the objects. An object's own class-specific
-    cell is not known, so it never supplies its own resolution."""
+def _known_column(it: IncompleteTable, a: str) -> list[str | None]:
+    """Per object, the value of its cell on ``a`` when that cell is known,
+    else None."""
+    cells = map(it.cells.__getitem__, zip(it.objects, itertools.repeat(a)))
+    return [cell.value if isinstance(cell, Known) else None for cell in cells]
+
+
+def _peer_values(ref_column: list[str | None], column: list[str | None]) -> dict[str, frozenset[str]]:
+    """Known values of an attribute, keyed by the known value of the
+    reference attribute beside them, from their two :func:`_known_column`
+    lists. An object's own class-specific cell is not known, so it never
+    supplies its own resolution."""
     peers: dict[str, set[str]] = {}
-    for y in it.objects:
-        ref, value = it.cells[(y, ref_attr)], it.cells[(y, a)]
-        if isinstance(ref, Known) and isinstance(value, Known):
-            peers.setdefault(ref.value, set()).add(value.value)
+    for ref, value in zip(ref_column, column):
+        if ref is not None and value is not None:
+            peers.setdefault(ref, set()).add(value)
     return {key: frozenset(values) for key, values in peers.items()}
 
 
@@ -313,6 +327,7 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
     """
     cells: dict[tuple[str, str], frozenset[str]] = {}
     peers: dict[tuple[str, str], dict[str, frozenset[str]]] = {}
+    known: dict[str, list[str | None]] = {}
     # Value set per cell instance and attribute; ``it`` keeps every cell
     # alive, so no id is reused while these maps exist.
     interned: dict[str, dict[int, frozenset[str]]] = {a: {} for a in it.attribute_names}
@@ -327,7 +342,10 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
                 if isinstance(cell, ClassSpecific):
                     peer_key = (cell.ref_attr, a)
                     if peer_key not in peers:
-                        peers[peer_key] = _peer_values(it, *peer_key)
+                        for b in peer_key:
+                            if b not in known:
+                                known[b] = _known_column(it, b)
+                        peers[peer_key] = _peer_values(known[cell.ref_attr], known[a])
                     values = _resolve(it, x, a, cell.ref_attr, peers[peer_key])
                 else:
                     values = interned[a][id(cell)] = _values(cell, schema)

@@ -6,8 +6,11 @@ or formula by formula through the public reference functions. Tables
 draw their rows from a small pool, so identical rows with non-singleton
 cells, ``{NA}`` cells and ``*`` cells all occur, and thresholds are drawn
 from 0, 1 and the degrees the table attains, where a comparison is
-exactly on its edge. The indexed class-specific resolution is compared
-with a reference copy of the per-cell peer scan.
+exactly on its edge. The two satisfiability builders are also compared
+on wider tables (4 or 5 attributes, up to 12 independent rows), where
+their language search prunes subtrees below depth 2. The indexed
+class-specific resolution is compared with a reference copy of the
+per-cell peer scan.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from threeway import (
     ClassSpecific,
     DoNotCare,
     EmptyResolutionError,
+    GuardExceededError,
     IncompleteTable,
     Known,
     NotApplicable,
@@ -47,7 +51,7 @@ from threeway import (
     similarity_matrix,
     to_set_valued,
 )
-from threeway.language import STRICT
+from threeway.language import STRICT, cdl_size
 
 DIFFERENTIAL = settings(
     max_examples=200,
@@ -55,6 +59,8 @@ DIFFERENTIAL = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+DEEP = settings(DIFFERENTIAL, max_examples=40)
 
 
 # --------------------------------------------------------------------------
@@ -147,11 +153,9 @@ def _schemas(draw, max_attrs=3):
     )
 
 
-@st.composite
-def pooled_tables(draw):
-    """A set-valued table whose rows repeat a few pooled rows, and a class."""
-    schemas = _schemas(draw)
-    options = {
+def _cell_options(schemas):
+    """Per attribute, every nonempty subset of its domain and ``{NA}``."""
+    return {
         s.name: [
             frozenset(combo)
             for size in range(1, len(s.domain) + 1)
@@ -160,6 +164,13 @@ def pooled_tables(draw):
         + [frozenset({NA})]
         for s in schemas
     }
+
+
+@st.composite
+def pooled_tables(draw):
+    """A set-valued table whose rows repeat a few pooled rows, and a class."""
+    schemas = _schemas(draw)
+    options = _cell_options(schemas)
     pool = draw(
         st.lists(
             st.tuples(*(st.sampled_from(options[s.name]) for s in schemas)), min_size=1, max_size=4
@@ -172,6 +183,32 @@ def pooled_tables(draw):
     members = frozenset(x for x in objects if draw(st.booleans()))
     attrs = tuple(a for a in table.attribute_names if draw(st.booleans())) or table.attribute_names
     return table, attrs, members
+
+
+@st.composite
+def deep_tables(draw):
+    """A set-valued table on 4 or 5 attributes with up to 12 independently
+    drawn rows, searched on all its attributes, so that the language search
+    prunes subtrees below depth 2; the class is sometimes every object or
+    none, where alpha 0 puts every formula into one region."""
+    schemas = tuple(
+        AttributeSchema(f"a{i + 1}", tuple(str(v) for v in range(draw(st.integers(1, 3)))))
+        for i in range(draw(st.integers(4, 5)))
+    )
+    options = _cell_options(schemas)
+    rows = draw(
+        st.lists(
+            st.tuples(*(st.sampled_from(options[s.name]) for s in schemas)), min_size=1, max_size=12
+        )
+    )
+    objects = tuple(f"x{j + 1}" for j in range(len(rows)))
+    cells = {(x, s.name): row[i] for x, row in zip(objects, rows) for i, s in enumerate(schemas)}
+    table = SetValuedTable(objects, schemas, cells)
+    members = frozenset(x for x in objects if draw(st.booleans()))
+    extreme = draw(st.integers(0, 7))
+    if extreme < 2:
+        members = frozenset(objects) if extreme else frozenset()
+    return table, table.attribute_names, members
 
 
 def _alpha(draw, attained):
@@ -235,6 +272,43 @@ def test_confidence_matches_reference(data):
     assert got == reference_confidence(table, attrs, alpha, members, kind)
 
 
+# The deep cases evaluate the reference on up to 1023 formulas each, so
+# they run fewer examples and take alpha from a few common thresholds and
+# the degrees of a few drawn formulas rather than of the whole language.
+COMMON_ALPHAS = {Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)}
+
+
+def _deep_case(draw):
+    table, attrs, members = draw(deep_tables())
+    kind = draw(st.sampled_from(list(TNorm)))
+    language = enumerate_cdl(tuple(map(table.schema, attrs)), STRICT)
+    sample = draw(st.lists(st.sampled_from(language), min_size=1, max_size=4))
+    return table, attrs, members, kind, sample
+
+
+@DEEP
+@given(st.data())
+def test_alpha_meaning_matches_reference_deep(data):
+    table, attrs, members, kind, sample = _deep_case(data.draw)
+    attained = {sat_degree(table, x, p, kind) for p in sample for x in table.objects}
+    alpha = _alpha(data.draw, attained | COMMON_ALPHAS)
+    got = description_regions_alpha_meaning(table, attrs, alpha, members, kind)
+    assert got == reference_alpha_meaning(table, attrs, alpha, members, kind)
+
+
+@DEEP
+@given(st.data())
+def test_confidence_matches_reference_deep(data):
+    table, attrs, members, kind, sample = _deep_case(data.draw)
+    attained = set()
+    for p in sample:
+        conf = confidence(table, p, members, kind)
+        attained |= {conf.accept, conf.reject}
+    alpha = _alpha(data.draw, attained | COMMON_ALPHAS)
+    got = description_regions_confidence(table, attrs, alpha, members, kind)
+    assert got == reference_confidence(table, attrs, alpha, members, kind)
+
+
 @DIFFERENTIAL
 @given(pooled_tables(), st.sampled_from(list(TNorm)))
 def test_matrix_matches_pairwise_similarity(case, kind):
@@ -271,6 +345,17 @@ def test_shared_row_degree_is_not_one():
 def test_builders_reject_unknown_kind(setvalued8, builder):
     with pytest.raises(ValueError, match="unknown T-norm"):
         builder(setvalued8, ("a1", "a2"), Fraction(1, 2), {"x1"}, "min")
+
+
+@pytest.mark.parametrize("builder", [description_regions_alpha_meaning, description_regions_confidence])
+def test_language_guard_comes_first(setvalued8, builder):
+    """The size guard raises before the T-norm kind is even looked at,
+    and a cap equal to the language size passes."""
+    attrs = ("a1", "a2")
+    total = cdl_size(tuple(map(setvalued8.schema, attrs)))
+    with pytest.raises(GuardExceededError, match=f"^{total} formulas exceed the cap of {total - 1}$"):
+        builder(setvalued8, attrs, Fraction(1, 2), {"x1"}, "min", max_formulas=total - 1)
+    builder(setvalued8, attrs, Fraction(1, 2), {"x1"}, TNorm.MIN, max_formulas=total)
 
 
 # --------------------------------------------------------------------------

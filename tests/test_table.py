@@ -225,3 +225,22 @@ class TestSchemaInvariants:
         cells = {("x1", "a"): both, ("x1", "b"): frozenset({"1"}), ("x2", "a"): both, ("x2", "b"): both}
         with pytest.raises(ValueError, match=r"cell \(x2, b\) holds tokens outside the domain"):
             SetValuedTable(("x1", "x2"), schemas, cells)
+
+    @pytest.mark.parametrize(
+        "stray",
+        [("x9", "a"), ("x1", "z"), 7, ("x1", "b", "extra")],
+        ids=["unknown object", "unknown attribute", "not a pair", "three items"],
+    )
+    def test_first_missing_cell_in_grid_order_is_reported(self, stray):
+        """A stray key with the right cell count leaves a hole; the error
+        names the first hole in object, then attribute, order."""
+        schemas = (AttributeSchema("a", ("1",)), AttributeSchema("b", ("1",)))
+        one = Known("1")
+        cells = {("x1", "a"): one, ("x2", "a"): one, ("x2", "b"): one, stray: one}
+        with pytest.raises(ValueError, match=r"^missing cell \(x1, b\)$"):
+            IncompleteTable(("x1", "x2"), schemas, cells)
+
+    def test_cell_count_checked_before_holes(self):
+        schemas = (AttributeSchema("a", ("1",)),)
+        with pytest.raises(ValueError, match="not total"):
+            IncompleteTable(("x1", "x2"), schemas, {("x1", "a"): Known("1")})

@@ -19,12 +19,7 @@ from typing import Iterable, Sequence
 from .errors import GuardExceededError, IncompleteTableError
 from .fuzzy import TNorm, as_degree
 from .language import Atom, Formula, STRICT, enumerate_cdl
-from .similarity import (
-    alpha_similarity_class,
-    description_regions_alpha_sim,
-    similarity,
-    similarity_matrix,
-)
+from .similarity import alpha_similarity_class, description_regions_alpha_sim, similarity_matrix
 from .satisfiability import sat_degree
 from .table import DEFAULT_MAX_WORLDS, SetValuedTable, is_complete
 
@@ -234,13 +229,16 @@ def run_all_checks(
 
     Product-kind similarity and satisfiability degrees are compared with
     their possible-world fractions on every object pair and every strict
-    formula. Complete tables additionally get the closure-equality check
-    on every nonempty attribute subset and the classical-reduction check.
-    When no class is supplied, the first half of the objects is used;
-    the default threshold is 1/2.
+    formula; the similarity degrees are read from one ``similarity_matrix``,
+    the kernel the region builders and the CLI run on. Complete tables
+    additionally get the closure-equality check on every nonempty
+    attribute subset and the classical-reduction check. When no class is
+    supplied, the first half of the objects is used; the default
+    threshold is 1/2.
     """
     attrs = _normalized_attrs(st, attrs)
     reports: list[OracleReport] = []
+    matrix = similarity_matrix(st, attrs, TNorm.PRODUCT)
     for i, x in enumerate(st.objects):
         for y in st.objects[i + 1 :]:
             reports.append(
@@ -248,7 +246,7 @@ def run_all_checks(
                     check="similarity-product-vs-worlds",
                     inputs=f"{x},{y}",
                     expected=oracle_similarity(st, attrs, x, y, max_worlds),
-                    actual=similarity(st, attrs, TNorm.PRODUCT, x, y),
+                    actual=matrix.degree(x, y),
                 )
             )
     schemas = tuple(st.schema(a) for a in attrs)

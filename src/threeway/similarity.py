@@ -10,11 +10,17 @@ with the paired fuzzy implication. ``NA`` participates as an ordinary
 token here, so ``{NA}`` cells match each other and object descriptions
 may carry ``NA`` atoms.
 
-``similarity_matrix`` and the region builders run on an integer kernel
-(end of this module) over distinct rows; the builders call none of
-``similarity``, ``similarity_single``, ``alpha_similarity_class``,
-``approximability`` or ``approximability_closed``, which evaluate the
-defining expressions and serve as references.
+``similarity_matrix`` and the region builders run on one kernel (end of
+this module): distinct rows as tuples of per-attribute cell codes, exact
+integer degrees tabulated once per pair of cells on each attribute, and
+per-cell bitsets of the rows within a threshold. Under ``min``,
+G(x, y) >= alpha iff every per-attribute degree is, and G(x, y) > 0 iff
+the cells overlap on every attribute (the tolerance relation of
+Kryszkiewicz, Information Sciences 1998), so a row's neighbours are the
+AND of its cells' bitsets. The builders call none of ``similarity``,
+``similarity_single``, ``alpha_similarity_class``, ``approximability`` or
+``approximability_closed``, which evaluate the defining expressions and
+serve as references.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cache, reduce
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, UnknownIdError
 from .fuzzy import ONE, TNorm, as_degree, implication, tnorm
@@ -79,18 +87,32 @@ def similarity(st: SetValuedTable, attrs: Sequence[str], kind: TNorm, x: str, y:
 
 
 def similarity_matrix(st: SetValuedTable, attrs: Sequence[str], kind: TNorm) -> SimilarityMatrix:
-    """Full symmetric matrix of pairwise degrees, expanded from the
-    degree table over distinct rows."""
+    """Full symmetric matrix of pairwise degrees, expanded from the degrees
+    between distinct rows, which fold the kernel's cell-pair degrees."""
     attrs = _checked_attrs(st, attrs)
-    row_of, table = _row_degrees(st, attrs, kind)
-    degrees = [[Fraction(num, den) for num, den in line] for line in table]
+    _check_kind(kind)
+    rows = _Rows(st, attrs, frozenset())
+    if kind is TNorm.MIN:
+        # Each cell pair's degree as its rank among all cell-pair degrees.
+        values = sorted({Fraction(*p) for table in rows.pairs for line in table for p in line})
+        rank = {v: i for i, v in enumerate(values)}
+        ranks = [[[rank[Fraction(*p)] for p in line] for line in table] for table in rows.pairs]
+
+        def degree(s, t):
+            return values[min(r[c][e] for r, c, e in zip(ranks, rows.rows[s], rows.rows[t]))]
+    else:
+        fraction = cache(Fraction)
+
+        def degree(s, t):
+            return fraction(*rows.product(s, t))
+
+    degree = cache(degree)
     entries: dict[tuple[str, str], Fraction] = {}
     for i, x in enumerate(st.objects):
         entries[(x, x)] = ONE
-        line = degrees[row_of[i]]
         for j in range(i + 1, len(st.objects)):
             y = st.objects[j]
-            entries[(x, y)] = entries[(y, x)] = line[row_of[j]]
+            entries[(x, y)] = entries[(y, x)] = degree(rows.row_of[i], rows.row_of[j])
     return SimilarityMatrix(st.objects, attrs, kind, entries)
 
 
@@ -144,14 +166,21 @@ def description_regions_alpha_sim(
     members = st.class_set(x_set)
     attrs = _checked_attrs(st, attrs)
     a, b = _ratio(alpha)
+    _check_kind(kind)
+    rows = _Rows(st, attrs, members)
+    # Under min these are the alpha-similar rows; a product is at most the
+    # minimum of its factors, so under prod only they can be.
+    near = rows.within(lambda n, d: n * b >= a * d)
 
-    def decide(line, others, inside):
+    def decide(s, inside):
         # The class of x holds x; it stays on x's side unless some object
         # of the other side is alpha-similar to x.
-        clear = not any(k and num * b >= a * den for (num, den), k in zip(line, others))
-        return inside and clear, not inside and clear
+        similar = near[s] & rows.other_bits[inside]
+        if kind is TNorm.PRODUCT:
+            similar = any(n * b >= a * d for n, d in (rows.product(s, t) for t in _bits(similar)))
+        return inside and not similar, not inside and not similar
 
-    return _object_regions(st, attrs, kind, members, decide, max_formulas)
+    return _object_regions(st, attrs, members, rows, decide, max_formulas)
 
 
 def approximability(
@@ -225,23 +254,41 @@ def description_regions_approx(
     members = st.class_set(x_set)
     a, b = _ratio(alpha)
     attrs = _checked_attrs(st, attrs)
+    _check_kind(kind)
+    rows = _Rows(st, attrs, members)
+    # Under min, 1 - G >= alpha fails exactly where G > 1 - alpha; under
+    # prod, only rows of degree above 0 bring the product below 1.
+    lowers = (lambda n, d: n * b > (b - a) * d) if kind is TNorm.MIN else (lambda n, d: n > 0)
+    near = rows.within(lowers)
 
-    def decide(line, others, inside):
+    def decide(s, inside):
         # The closed forms of :func:`approximability_closed`: the degree
         # toward x's own side folds 1 - G over the other side, and the
         # degree toward the other side is 0, since G(x, x) = 1.
-        num, den = _fold_complements(kind, line, others)
-        toward = num * b >= a * den
-        return (toward, a == 0) if inside else (a == 0, toward)
+        if a == 0:  # every degree is at least 0
+            return True, True
+        others = near[s] & rows.other_bits[inside]
+        if kind is TNorm.MIN:
+            toward = not others
+        else:
+            num = den = 1
+            counts = rows.others[inside]
+            for t in _bits(others):
+                n, d = rows.product(s, t)
+                num *= (d - n) ** counts[t]
+                den *= d ** counts[t]
+                if num * b < a * den:
+                    break  # every further factor is at most 1
+            toward = num * b >= a * den
+        return (toward, False) if inside else (False, toward)
 
-    return _object_regions(st, attrs, kind, members, decide, max_formulas)
+    return _object_regions(st, attrs, members, rows, decide, max_formulas)
 
 
 # --------------------------------------------------------------------------
-# Integer kernel. Objects with the same row on ``attrs`` have the same
-# degree to every other object, so degrees are computed once per pair of
-# distinct rows, as unreduced integer (num, den) pairs, and thresholds are
-# compared by cross-multiplying.
+# Kernel. Objects with the same row on ``attrs`` have the same degree to
+# every other object, so they merge into distinct rows; bitsets of rows are
+# Python ints, and thresholds are compared by cross-multiplying.
 
 
 def _checked_attrs(st: SetValuedTable, attrs: Sequence[str]) -> tuple[str, ...]:
@@ -256,89 +303,74 @@ def _ratio(alpha) -> tuple[int, int]:
     return threshold.numerator, threshold.denominator
 
 
-def _fold(kind: TNorm, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """T-norm of nonnegative integer ratios (num, den), den > 0."""
-    num, den = 1, 1
-    if kind is TNorm.MIN:
-        for n, d in pairs:
-            if n * den < num * d:
-                num, den = n, d
-    elif kind is TNorm.PRODUCT:
-        for n, d in pairs:
-            num, den = num * n, den * d
-    else:
+def _check_kind(kind: TNorm) -> None:
+    if not isinstance(kind, TNorm):
         raise ValueError(f"unknown T-norm kind {kind!r}")
-    return num, den
 
 
-def _row_degrees(
-    st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm
-) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Each object's row index, and the degree table over distinct rows.
-
-    ``table[s][t]`` is the degree between an object of row ``s`` and a
-    different object of row ``t``; on the diagonal that is the fold of
-    1/|cell|, not 1, which only an object and itself reach.
-    """
-    index: dict[tuple[frozenset[str], ...], int] = {}
-    row_of = [
-        index.setdefault(tuple(st.cells[(x, a)] for a in attrs), len(index)) for x in st.objects
-    ]
-    rows = list(index)
-    table = [[(0, 1)] * len(rows) for _ in rows]
-    for i, s in enumerate(rows):
-        for j in range(i, len(rows)):
-            pairs = ((len(sx & sy), len(sx) * len(sy)) for sx, sy in zip(s, rows[j]))
-            table[i][j] = table[j][i] = _fold(kind, pairs)
-    return row_of, table
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _fold_complements(
-    kind: TNorm, line: list[tuple[int, int]], counts: list[int]
-) -> tuple[int, int]:
-    """T over ``counts[t]`` objects of each row t of 1 - G, where ``line[t]``
-    is G; 1 over no objects. MIN takes 1 - max G, PRODUCT multiplies
-    (1 - G)^count."""
-    if kind is TNorm.MIN:
-        top, base = 0, 1
-        for (num, den), k in zip(line, counts):
-            if k and num * base > top * den:
-                top, base = num, den
-        return base - top, base
-    num, den = 1, 1
-    for (n, d), k in zip(line, counts):
-        if k:
-            num *= (d - n) ** k
-            den *= d**k
-    return num, den
+class _Rows:
+    """The distinct rows of ``st`` on ``attrs``, and the objects of each row
+    on either side of the class ``members``."""
+
+    def __init__(self, st: SetValuedTable, attrs: tuple[str, ...], members: frozenset[str]):
+        codes: list[dict[frozenset[str], int]] = [{} for _ in attrs]
+        index: dict[tuple[int, ...], int] = {}
+        self.row_of = []
+        for x in st.objects:
+            row = tuple(c.setdefault(st.cells[(x, a)], len(c)) for c, a in zip(codes, attrs))
+            self.row_of.append(index.setdefault(row, len(index)))
+        self.rows = list(index)
+        # pairs[i][c][e]: |c & e| and |c| * |e| for the cells coded c and e
+        # on attrs[i]; two different objects sharing cell c get 1/|c|.
+        self.pairs = [[[(len(c & e), len(c) * len(e)) for e in cs] for c in cs] for cs in codes]
+        # others[inside][t]: objects of row t on the other side from an
+        # object whose membership is ``inside``, which is never counted;
+        # other_bits[inside] has the rows where that is above 0.
+        self.others = ([0] * len(self.rows), [0] * len(self.rows))
+        for x, t in zip(st.objects, self.row_of):
+            self.others[x not in members][t] += 1
+        self.other_bits = tuple(sum(1 << t for t, k in enumerate(ks) if k) for ks in self.others)
+
+    def within(self, test) -> list[int]:
+        """Per row, the bitset of the rows whose cell passes ``test(num, den)``
+        against the row's cell on every attribute."""
+        by_cell = []
+        for i, table in enumerate(self.pairs):
+            holders = [0] * len(table)
+            for t, row in enumerate(self.rows):
+                holders[row[i]] |= 1 << t
+            by_cell.append([sum(h for h, p in zip(holders, line) if test(*p)) for line in table])
+        return [reduce(and_, (cells[c] for cells, c in zip(by_cell, row))) for row in self.rows]
+
+    def product(self, s: int, t: int) -> tuple[int, int]:
+        """The PRODUCT degree of different objects of rows s and t."""
+        num = den = 1
+        for table, c, e in zip(self.pairs, self.rows[s], self.rows[t]):
+            n, d = table[c][e]
+            num, den = num * n, den * d
+        return num, den
 
 
-def _object_regions(st, attrs, kind, members, decide, max_formulas):
-    """Union of the descriptions of the objects that ``decide`` puts in each
-    region, in object order, so the description guard fires on the same
-    object as a per-object evaluation would.
-
-    ``decide(line, others, inside)`` returns (positive, negative) for an
-    object of a row with degree line ``line``, class membership ``inside``,
-    and ``others[t]`` objects of row t on the other side of the class; it
-    runs once per row and membership.
-    """
-    row_of, table = _row_degrees(st, attrs, kind)
-    # others[inside][t]: objects of row t on the other side from an object
-    # whose membership is ``inside``; that object itself is never counted.
-    others = {True: [0] * len(table), False: [0] * len(table)}
-    for x, s in zip(st.objects, row_of):
-        others[x not in members][s] += 1
-    decided: dict[tuple[int, bool], tuple[bool, bool]] = {}
-    dpos: set[Formula] = set()
-    dneg: set[Formula] = set()
-    for x, s in zip(st.objects, row_of):
-        inside = x in members
-        if (s, inside) not in decided:
-            decided[(s, inside)] = decide(table[s], others[inside], inside)
-        pos, neg = decided[(s, inside)]
-        if pos:
-            dpos |= cdes(st, attrs, x, max_formulas)
-        if neg:
-            dneg |= cdes(st, attrs, x, max_formulas)
-    return frozenset(dpos), frozenset(dneg)
+def _object_regions(st, attrs, members, rows, decide, max_formulas):
+    """Union of the descriptions of the objects that ``decide(s, inside)``
+    puts in each region (positive, negative), given the object's row ``s``
+    and class membership. A row's objects share their descriptions, which
+    are added at its first object in each region, in object order; so the
+    description guard fires on the object a per-object evaluation would."""
+    decide = cache(decide)
+    regions: tuple[set[Formula], set[Formula]] = (set(), set())
+    added: set[tuple[int, int]] = set()
+    for x, s in zip(st.objects, rows.row_of):
+        for side, hit in enumerate(decide(s, x in members)):
+            if hit and (s, side) not in added:
+                added.add((s, side))
+                regions[side].update(cdes(st, attrs, x, max_formulas))
+    return frozenset(regions[0]), frozenset(regions[1])

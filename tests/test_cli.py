@@ -328,16 +328,18 @@ class TestExitCodes:
 
     def test_oracle_failure_is_4(self, capsys, monkeypatch):
         import threeway.oracle as oracle_mod
-        from threeway import similarity as real_similarity
+        from threeway import similarity_matrix
 
-        def corrupted(st, attrs, kind, x, y):
-            value = real_similarity(st, attrs, kind, x, y)
-            return value / 2 if x != y else value
+        def corrupted(st, attrs, kind):
+            matrix = similarity_matrix(st, attrs, kind)
+            matrix.entries[("x4", "x6")] = Fr(1, 3)
+            return matrix
 
-        monkeypatch.setattr(oracle_mod, "similarity", corrupted)
+        monkeypatch.setattr(oracle_mod, "similarity_matrix", corrupted)
         code, out, _ = run(capsys, "oracle-check", "--table", SETVALUED8)
         assert code == 4
-        assert "FAIL" in out
+        assert "similarity-product-vs-worlds: 27/28 ok" in out
+        assert "FAIL similarity-product-vs-worlds [x4,x6] expected=1/6 actual=1/3" in out
 
     def test_oracle_pass_is_0(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--table", SETVALUED8)

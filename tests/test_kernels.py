@@ -8,7 +8,9 @@ cells, ``{NA}`` cells and ``*`` cells all occur, and thresholds are drawn
 from 0, 1 and the degrees the table attains, where a comparison is
 exactly on its edge. The two satisfiability builders are also compared
 on wider tables (4 or 5 attributes, up to 12 independent rows), where
-their language search prunes subtrees below depth 2. The indexed
+their language search prunes subtrees below depth 2, and the similarity
+builders and matrix on tables of 65-80 mostly distinct rows, where the
+kernel's row bitsets are wider than 64 bits. The indexed
 class-specific resolution is compared with a reference copy of the
 per-cell peer scan.
 """
@@ -185,20 +187,16 @@ def pooled_tables(draw):
     return table, attrs, members
 
 
-@st.composite
-def deep_tables(draw):
-    """A set-valued table on 4 or 5 attributes with up to 12 independently
-    drawn rows, searched on all its attributes, so that the language search
-    prunes subtrees below depth 2; the class is sometimes every object or
-    none, where alpha 0 puts every formula into one region."""
-    schemas = tuple(
-        AttributeSchema(f"a{i + 1}", tuple(str(v) for v in range(draw(st.integers(1, 3)))))
-        for i in range(draw(st.integers(4, 5)))
-    )
+def _independent_rows(draw, schemas, min_size, max_size):
+    """A table of independently drawn rows over ``schemas``, searched on all
+    its attributes, and a class that is sometimes every object or none,
+    where alpha 0 puts everything into one region."""
     options = _cell_options(schemas)
     rows = draw(
         st.lists(
-            st.tuples(*(st.sampled_from(options[s.name]) for s in schemas)), min_size=1, max_size=12
+            st.tuples(*(st.sampled_from(options[s.name]) for s in schemas)),
+            min_size=min_size,
+            max_size=max_size,
         )
     )
     objects = tuple(f"x{j + 1}" for j in range(len(rows)))
@@ -209,6 +207,28 @@ def deep_tables(draw):
     if extreme < 2:
         members = frozenset(objects) if extreme else frozenset()
     return table, table.attribute_names, members
+
+
+@st.composite
+def deep_tables(draw):
+    """A set-valued table on 4 or 5 attributes with up to 12 independently
+    drawn rows, so that the language search prunes subtrees below depth 2."""
+    schemas = tuple(
+        AttributeSchema(f"a{i + 1}", tuple(str(v) for v in range(draw(st.integers(1, 3)))))
+        for i in range(draw(st.integers(4, 5)))
+    )
+    return _independent_rows(draw, schemas, 1, 12)
+
+
+@st.composite
+def wide_tables(draw):
+    """A set-valued table of 65-80 independently drawn rows on 3 or 4
+    attributes of three values each, so that most rows are distinct and
+    the kernel's row bitsets run past 64 bits."""
+    schemas = tuple(
+        AttributeSchema(f"a{i + 1}", ("0", "1", "2")) for i in range(draw(st.integers(3, 4)))
+    )
+    return _independent_rows(draw, schemas, 65, 80)
 
 
 def _alpha(draw, attained):
@@ -309,6 +329,51 @@ def test_confidence_matches_reference_deep(data):
     assert got == reference_confidence(table, attrs, alpha, members, kind)
 
 
+# The wide cases evaluate the references on 65-80 objects, quadratic in
+# them, so they run fewer examples. Alpha is drawn from the degrees G the
+# table attains, which are alpha-sim's edges, and from 1 - G, where
+# approx's test under min is strict.
+WIDE = settings(DIFFERENTIAL, max_examples=5)
+
+
+def _wide_alpha(draw, table, attrs, kind):
+    # The matrix is checked against the reference below; here it only
+    # supplies the attained degrees.
+    attained = set(similarity_matrix(table, attrs, kind).entries.values())
+    return _alpha(draw, attained | {1 - g for g in attained})
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@WIDE
+@given(wide_tables(), st.data())
+def test_alpha_sim_matches_reference_wide(kind, case, data):
+    table, attrs, members = case
+    alpha = _wide_alpha(data.draw, table, attrs, kind)
+    got = description_regions_alpha_sim(table, attrs, alpha, members, kind)
+    assert got == reference_alpha_sim(table, attrs, alpha, members, kind)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@WIDE
+@given(wide_tables(), st.data())
+def test_approx_matches_reference_wide(kind, case, data):
+    table, attrs, members = case
+    alpha = _wide_alpha(data.draw, table, attrs, kind)
+    got = description_regions_approx(table, attrs, alpha, members, kind)
+    assert got == reference_approx(table, attrs, alpha, members, kind)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@WIDE
+@given(wide_tables())
+def test_matrix_matches_pairwise_similarity_wide(kind, case):
+    table, attrs, _ = case
+    matrix = similarity_matrix(table, attrs, kind)
+    for x in table.objects:
+        for y in table.objects:
+            assert matrix.degree(x, y) == similarity(table, attrs, kind, x, y), (x, y)
+
+
 @DIFFERENTIAL
 @given(pooled_tables(), st.sampled_from(list(TNorm)))
 def test_matrix_matches_pairwise_similarity(case, kind):
@@ -319,18 +384,78 @@ def test_matrix_matches_pairwise_similarity(case, kind):
             assert matrix.degree(x, y) == similarity(table, attrs, kind, x, y), (x, y)
 
 
+def _two_objects(row1, row2):
+    schemas = (AttributeSchema("a", ("0", "1")), AttributeSchema("b", ("0", "1", "2")))
+    cells = {("x1", a): frozenset(v) for a, v in row1.items()}
+    cells.update({("x2", a): frozenset(v) for a, v in row2.items()})
+    return SetValuedTable(("x1", "x2"), schemas, cells), ("a", "b")
+
+
 def test_shared_row_degree_is_not_one():
     """Two different objects with the same non-singleton row are similar
     to degree fold(1/|cell|); only an object and itself reach 1."""
-    schemas = (AttributeSchema("a", ("0", "1")), AttributeSchema("b", ("0", "1", "2")))
-    row = {"a": frozenset({"0", "1"}), "b": frozenset({"0", "1", "2"})}
-    table = SetValuedTable(("x1", "x2"), schemas, {(x, a): row[a] for x in ("x1", "x2") for a in row})
-    assert similarity_matrix(table, ("a", "b"), TNorm.MIN).degree("x1", "x2") == Fraction(1, 3)
-    assert similarity_matrix(table, ("a", "b"), TNorm.PRODUCT).degree("x1", "x2") == Fraction(1, 6)
-    assert similarity_matrix(table, ("a", "b"), TNorm.MIN).degree("x1", "x1") == 1
+    row = {"a": "01", "b": "012"}
+    table, attrs = _two_objects(row, row)
+    assert similarity_matrix(table, attrs, TNorm.MIN).degree("x1", "x2") == Fraction(1, 3)
+    assert similarity_matrix(table, attrs, TNorm.PRODUCT).degree("x1", "x2") == Fraction(1, 6)
+    assert similarity_matrix(table, attrs, TNorm.MIN).degree("x1", "x1") == 1
     # Alpha 1/2 leaves x1's class {x1}, inside the class {x1}.
-    dpos, dneg = description_regions_alpha_sim(table, ("a", "b"), Fraction(1, 2), {"x1"}, TNorm.MIN)
-    assert dpos == cdes(table, ("a", "b"), "x1") and dneg == cdes(table, ("a", "b"), "x2")
+    dpos, dneg = description_regions_alpha_sim(table, attrs, Fraction(1, 2), {"x1"}, TNorm.MIN)
+    assert dpos == cdes(table, attrs, "x1") and dneg == cdes(table, attrs, "x2")
+
+
+@pytest.mark.parametrize("kind,edge", [(TNorm.MIN, Fraction(1, 3)), (TNorm.PRODUCT, Fraction(1, 6))])
+def test_shared_row_blocks_at_its_own_degree(kind, edge):
+    """Two objects of one non-singleton row on opposite sides of the class
+    are alpha-similar up to alpha = fold(1/|cell|) and no further."""
+    row = {"a": "01", "b": "012"}
+    table, attrs = _two_objects(row, row)
+    assert description_regions_alpha_sim(table, attrs, edge, {"x1"}, kind) == (frozenset(), frozenset())
+    above = edge + Fraction(1, 1000)
+    descriptions = cdes(table, attrs, "x1")
+    assert description_regions_alpha_sim(table, attrs, above, {"x1"}, kind) == (descriptions, descriptions)
+
+
+def test_product_drops_min_candidates_below_alpha():
+    """At alpha 1/3, x2 is a min candidate of x1 (both per-attribute degrees
+    are 1/2) but its product 1/4 is below alpha, so under prod it does not
+    block x1, and under min it does."""
+    table, attrs = _two_objects({"a": "01", "b": "0"}, {"a": "01", "b": "01"})
+    alpha = Fraction(1, 3)
+    got = description_regions_alpha_sim(table, attrs, alpha, {"x1"}, TNorm.PRODUCT)
+    assert got == (cdes(table, attrs, "x1"), cdes(table, attrs, "x2"))
+    assert got == reference_alpha_sim(table, attrs, alpha, {"x1"}, TNorm.PRODUCT)
+    assert description_regions_alpha_sim(table, attrs, alpha, {"x1"}, TNorm.MIN) == (frozenset(), frozenset())
+
+
+def test_approx_prod_folds_past_a_partial_product():
+    """x1's positive degree under prod is (1 - 1/2) * (1 - 1/2) = 1/4; at
+    alpha 1/2 the fold reaches alpha after one factor and must go on."""
+    schemas = (AttributeSchema("a", ("0", "1")),)
+    cells = {("x1", "a"): frozenset("01"), ("x2", "a"): frozenset("0"), ("x3", "a"): frozenset("1")}
+    table = SetValuedTable(("x1", "x2", "x3"), schemas, cells)
+    got = description_regions_approx(table, ("a",), Fraction(1, 2), {"x1"}, TNorm.PRODUCT)
+    assert got == (frozenset(), cdes(table, ("a",), "x2") | cdes(table, ("a",), "x3"))
+    assert got == reference_approx(table, ("a",), Fraction(1, 2), {"x1"}, TNorm.PRODUCT)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@pytest.mark.parametrize(
+    "builder,in_region,in_none",
+    [
+        # x1 (6 descriptions, in the class) and x2 are similar to degree 1/3
+        # under min and 1/6 under prod; x1's degrees toward the class are
+        # 2/3 and 5/6.
+        (description_regions_alpha_sim, Fraction(1, 2), Fraction(1, 6)),
+        (description_regions_approx, Fraction(1, 2), Fraction(9, 10)),
+    ],
+)
+def test_description_guard_fires_only_in_a_region(kind, builder, in_region, in_none):
+    table, attrs = _two_objects({"a": "01", "b": "012"}, {"a": "0", "b": "0"})
+    with pytest.raises(GuardExceededError, match="^6 descriptions exceed the cap of 5$"):
+        builder(table, attrs, in_region, {"x1"}, kind, max_formulas=5)
+    assert builder(table, attrs, in_region, {"x1"}, kind, max_formulas=6)[0] == cdes(table, attrs, "x1")
+    assert builder(table, attrs, in_none, {"x1"}, kind, max_formulas=5) == (frozenset(), frozenset())
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from threeway import (
     run_all_checks,
     sat_degree,
     similarity,
+    similarity_matrix,
     to_set_valued,
 )
 
@@ -138,12 +139,32 @@ class TestRunAll:
         assert "union-closure-equality" in checks
         assert "classical-reduction" in checks
 
-    def test_detects_corrupted_similarity(self, setvalued8, monkeypatch):
+    def test_reads_the_production_matrix(self, setvalued8, monkeypatch):
+        """The similarity checks compare the worlds with the matrix the CLI
+        runs on, built once per call."""
         import threeway.oracle as oracle_mod
 
-        def corrupted(st, attrs, kind, x, y):
-            return similarity(st, attrs, kind, x, y) / 2 if x != y else Fr(1)
+        built = []
 
-        monkeypatch.setattr(oracle_mod, "similarity", corrupted)
-        reports = run_all_checks(setvalued8)
-        assert any(not r.passed for r in reports)
+        def counted(*args):
+            built.append(args)
+            return similarity_matrix(*args)
+
+        monkeypatch.setattr(oracle_mod, "similarity_matrix", counted)
+        assert all(r.passed for r in run_all_checks(setvalued8))
+        assert built == [(setvalued8, setvalued8.attribute_names, TNorm.PRODUCT)]
+
+    def test_detects_corrupted_similarity(self, setvalued8, monkeypatch):
+        """One wrong matrix entry fails exactly the check of its pair."""
+        import threeway.oracle as oracle_mod
+
+        def corrupted(st, attrs, kind):
+            matrix = similarity_matrix(st, attrs, kind)
+            matrix.entries[("x4", "x6")] = Fr(1, 3)
+            return matrix
+
+        monkeypatch.setattr(oracle_mod, "similarity_matrix", corrupted)
+        failures = [r for r in run_all_checks(setvalued8) if not r.passed]
+        assert [(r.check, r.inputs, r.expected, r.actual) for r in failures] == [
+            ("similarity-product-vs-worlds", "x4,x6", Fr(1, 6), Fr(1, 3))
+        ]

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -21,8 +22,6 @@ from .fuzzy import TNorm, format_decimal, format_exact, parse_degree
 from .language import (
     DEFAULT_MAX_FORMULAS,
     Formula,
-    STRICT,
-    enumerate_cdl,
     formula_json,
     formula_sort_key_for,
     object_description,
@@ -34,7 +33,7 @@ from .rules import render as render_rules
 from .satisfiability import (
     description_regions_alpha_meaning,
     description_regions_confidence,
-    sat_profile,
+    strict_degrees,
 )
 from .similarity import (
     description_regions_alpha_sim,
@@ -66,7 +65,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="threeway",
         description="Induce three-way decision rules from complete and incomplete tables.",
@@ -332,19 +333,19 @@ def _cmd_similarity(args) -> int:
     attrs = _resolve_attrs(args, st)
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
     matrix = similarity_matrix(st, attrs, kind)
+    # A matrix holds few distinct degrees; each is rendered once.
+    render = cache(format_exact if args.exact or args.format == "json" else format_decimal)
     if args.format == "json":
         payload = {
             "objects": list(matrix.objects),
             "attrs": list(matrix.attrs),
             "tnorm": kind.value,
             "entries": [
-                [format_exact(matrix.degree(x, y)) for y in matrix.objects]
-                for x in matrix.objects
+                [render(matrix.degree(x, y)) for y in matrix.objects] for x in matrix.objects
             ],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return 0
-    render = format_exact if args.exact else format_decimal
     cells = [[render(matrix.degree(x, y)) for y in matrix.objects] for x in matrix.objects]
     width = max(
         max(len(c) for row in cells for c in row),
@@ -362,12 +363,11 @@ def _cmd_satisfiability(args) -> int:
     st = _load_table(args)
     attrs = _resolve_attrs(args, st)
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
-    schemas = tuple(map(st.schema, attrs))
-    formulas = enumerate_cdl(schemas, STRICT, args.max_formulas)
+    # Degrees are 1/N; each distinct N is rendered once.
+    render = cache(lambda n: format_exact(Fraction(1, n)))
     entries = []
-    for i, p in enumerate(formulas, start=1):
-        profile = sat_profile(st, p, kind)
-        nonzero = {x: profile.degrees[x] for x in st.objects if profile.degrees[x] != 0}
+    for i, (p, ns) in enumerate(strict_degrees(st, attrs, kind, args.max_formulas), start=1):
+        nonzero = {x: render(ns[x]) for x in st.objects if x in ns}
         entries.append((f"p{i}", p, nonzero))
     if args.format == "json":
         payload = [
@@ -375,7 +375,7 @@ def _cmd_satisfiability(args) -> int:
                 "label": label,
                 "formula": formula_json(p),
                 "tnorm": kind.value,
-                "degrees": {x: format_exact(d) for x, d in nonzero.items()},
+                "degrees": nonzero,
             }
             for label, p, nonzero in entries
         ]
@@ -383,7 +383,7 @@ def _cmd_satisfiability(args) -> int:
         return 0
     lines = []
     for label, p, nonzero in entries:
-        shown = " ".join(f"{x}:{format_exact(d)}" for x, d in nonzero.items())
+        shown = " ".join(f"{x}:{d}" for x, d in nonzero.items())
         lines.append(f"{label}\t{render_formula(p)}\t{shown}".rstrip())
     _emit(args, "\n".join(lines) + "\n")
     return 0

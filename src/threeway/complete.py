@@ -3,7 +3,9 @@
 Covers the classical route (equivalence classes and structured regions),
 the conjunctive-language route (definable-set families and their
 regions), the Boolean-algebra closure connecting the two, and the
-formula-level description regions used for rule derivation.
+formula-level description regions used for rule derivation. The language
+route runs on the satisfiability search under MIN: on a complete table
+every degree is 0 or 1, and a meaning set is the alpha-meaning set at 1.
 """
 
 from __future__ import annotations
@@ -13,13 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
-from .language import (
-    DEFAULT_MAX_FORMULAS,
-    Formula,
-    STRICT,
-    enumerate_cdl,
-    meaning_set,
-)
+from .fuzzy import TNorm
+from .language import DEFAULT_MAX_FORMULAS, Formula
+from .satisfiability import description_regions_alpha_meaning, strict_degrees
 from .table import SetValuedTable, is_complete
 
 #: Default cap on union-closure computations, counted in subsets of the family.
@@ -108,10 +106,9 @@ def cdef_family(
 ) -> frozenset[DescribedSet]:
     """All conjunctively definable sets, each with its full description set."""
     _require_complete(t)
-    schemas = tuple(map(t.schema, t.attr_subset(attrs)))
     grouped: dict[frozenset[str], set[Formula]] = {}
-    for p in enumerate_cdl(schemas, STRICT, max_formulas):
-        grouped.setdefault(meaning_set(t, p), set()).add(p)
+    for p, ns in strict_degrees(t, attrs, TNorm.MIN, max_formulas):
+        grouped.setdefault(frozenset(ns), set()).add(p)
     return frozenset(
         DescribedSet(members, frozenset(formulas)) for members, formulas in grouped.items()
     )
@@ -195,18 +192,8 @@ def description_regions_complete(
 
     The positive region collects every formula whose nonempty meaning set
     lies inside the class; the negative region is symmetric with the
-    complement. The boundary is implicit (everything else).
+    complement. The boundary is implicit (everything else). These are the
+    alpha-meaning regions at alpha 1 under MIN.
     """
-    members = t.class_set(x_set)
-    complement = frozenset(t.objects) - members
-    schemas = tuple(map(t.schema, t.attr_subset(attrs)))
-    dpos, dneg = set(), set()
-    for p in enumerate_cdl(schemas, STRICT, max_formulas):
-        m = meaning_set(t, p)
-        if not m:
-            continue
-        if m <= members:
-            dpos.add(p)
-        elif m <= complement:
-            dneg.add(p)
-    return frozenset(dpos), frozenset(dneg)
+    _require_complete(t)
+    return description_regions_alpha_meaning(t, attrs, 1, x_set, TNorm.MIN, max_formulas)

@@ -56,12 +56,6 @@ class Formula:
     def attrs(self) -> tuple[str, ...]:
         return tuple(atom.attr for atom in self.atoms)
 
-    def value_of(self, attr: str) -> str:
-        for atom in self.atoms:
-            if atom.attr == attr:
-                return atom.value
-        raise UnknownIdError(f"formula has no atom on {attr!r}")
-
     def __str__(self) -> str:
         return render_formula(self)
 

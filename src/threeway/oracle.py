@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError
-from .fuzzy import TNorm, as_degree
-from .language import Atom, Formula, STRICT, enumerate_cdl
+from .fuzzy import ZERO, TNorm, as_degree
+from .language import Atom, Formula
 from .similarity import alpha_similarity_class, description_regions_alpha_sim, similarity_matrix
-from .satisfiability import sat_degree
+from .satisfiability import strict_degrees
 from .table import DEFAULT_MAX_WORLDS, SetValuedTable, is_complete
 
 #: Default cap on union-closure size, in number of closed sets.
@@ -229,8 +229,9 @@ def run_all_checks(
 
     Product-kind similarity and satisfiability degrees are compared with
     their possible-world fractions on every object pair and every strict
-    formula; the similarity degrees are read from one ``similarity_matrix``,
-    the kernel the region builders and the CLI run on. Complete tables
+    formula. Both are read from the kernels the region builders and the
+    CLI run on: one ``similarity_matrix`` and one ``strict_degrees`` per
+    call. Complete tables
     additionally get the closure-equality check on every nonempty
     attribute subset and the classical-reduction check. When no class is
     supplied, the first half of the objects is used; the default
@@ -249,15 +250,14 @@ def run_all_checks(
                     actual=matrix.degree(x, y),
                 )
             )
-    schemas = tuple(st.schema(a) for a in attrs)
-    for p in enumerate_cdl(schemas, STRICT):
+    for p, ns in strict_degrees(st, attrs, TNorm.PRODUCT):
         for x in st.objects:
             reports.append(
                 OracleReport(
                     check="sat-degree-product-vs-worlds",
                     inputs=f"{x} |= {p}",
                     expected=oracle_sat_degree(st, x, p, max_worlds),
-                    actual=sat_degree(st, x, p, TNorm.PRODUCT),
+                    actual=Fraction(1, ns[x]) if x in ns else ZERO,
                 )
             )
     if is_complete(st):

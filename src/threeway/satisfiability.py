@@ -17,7 +17,8 @@ region. Two bounds make that safe, because adding an atom never lowers N:
 an object that misses alpha on a formula misses it on every extension,
 and a formula's acceptance (rejection) confidence is at most the class
 (complement) side's max D under MIN, 1 - prod (1 - D) under PRODUCT,
-which never grows down the tree. The builders call none of
+which never grows down the tree. The same walk, cut nowhere, gives every
+formula's degrees (:func:`strict_degrees`). No production path calls
 ``sat_degree``, ``sat_profile``, ``alpha_meaning_set``, ``confidence`` or
 ``confidence_closed``, which evaluate the defining expressions and serve
 as references.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, implication, negate, tnorm
-from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, check_cdl_size
+from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, check_cdl_size, formula_sort_key_for
 from .table import NA, SetValuedTable
 
 
@@ -77,6 +78,27 @@ def sat_degree(st: SetValuedTable, x: str, p: Formula, kind: TNorm) -> Fraction:
 def sat_profile(st: SetValuedTable, p: Formula, kind: TNorm) -> SatProfile:
     """Degrees of ``p`` for every object, computed in one pass."""
     return SatProfile(p, {x: sat_degree(st, x, p, kind) for x in st.objects}, kind)
+
+
+def strict_degrees(
+    st: SetValuedTable, attrs: Sequence[str], kind: TNorm, max_formulas: int = DEFAULT_MAX_FORMULAS
+) -> list[tuple[Formula, dict[str, int]]]:
+    """Every strict formula on ``attrs`` in ``enumerate_cdl`` order, each with
+    ``{object: N}`` over the objects that satisfy it to degree 1/N > 0."""
+    attrs = st.attr_subset(attrs)
+    schemas = tuple(map(st.schema, attrs))
+    check_cdl_size(schemas, STRICT, max_formulas)
+    out = []
+
+    def visit(atoms, _, ns) -> bool:
+        out.append((Formula(atoms), ns))
+        return True
+
+    # With an empty class every object is on the complement side.
+    _search(st, attrs, frozenset(), kind, visit)
+    key = formula_sort_key_for(schemas)
+    out.sort(key=lambda entry: key(entry[0]))
+    return out
 
 
 def alpha_meaning_set(st: SetValuedTable, p: Formula, alpha, kind: TNorm) -> frozenset[str]:

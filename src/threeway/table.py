@@ -250,10 +250,6 @@ class SetValuedTable(_Grid):
         cell = self.cell(x, a)
         return tuple(v for v in self.schema(a).domain + (NA,) if v in cell)
 
-    def row(self, x: str) -> dict[str, frozenset[str]]:
-        self.check_objects(x)
-        return {a: self.cells[(x, a)] for a in self.attribute_names}
-
     def known_row(self, x: str) -> dict[str, str]:
         """Row of single tokens; requires every cell of ``x`` to be a singleton."""
         row = {}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from threeway.cli import COMPLETE_METHODS, METHODS, main
+from threeway.cli import COMPLETE_METHODS, METHODS, _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
@@ -44,6 +44,9 @@ def cases() -> list[tuple[str, ...]]:
                 out.append(("satisfiability", "--table", table, "--tnorm", tnorm, *fmt))
     for fmt in FORMATS:
         out.append(("oracle-check", "--table", "complete6.itab", "--class", "x1,x2", "--alpha", "1/2", *fmt))
+    # setvalued8 attains satisfiability degrees other than 0 and 1.
+    for fmt in FORMATS:
+        out.append(("oracle-check", "--table", "setvalued8.itab", *fmt))
     # Threshold edges: alpha 0 admits everything, 1 only full degrees, and
     # 1/3 equals degrees the table attains.
     for method in FUZZY_METHODS:
@@ -81,6 +84,28 @@ def test_cli_output_matches_golden(golden, argv):
     want = golden[" ".join(argv)]
     code, stdout = run(argv)
     assert (code, stdout) == (want["exit"], want["stdout"])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("rules", "--table", "t.itab", "--method", "nope"),
+        ("regions", "--table", "t.itab", "--method", "confidence", "--tnorm", "max"),
+        ("satisfiability", "--table", "t.itab", "--max-formulas", "-1"),
+        ("similarity",),
+    ],
+    ids=" ".join,
+)
+def test_usage_error_leaves_the_parser_intact(golden, bad):
+    """The parser is built once per process; a call that it rejects does
+    not change what the next call prints."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(bad)) == 1
+    argv = ("rules", "--table", "setvalued8.itab", "--method", "confidence", "--tnorm", "prod", *CLASS,
+            "--format", "text")
+    want = golden[" ".join(argv)]
+    assert run(argv) == (want["exit"], want["stdout"])
+    assert _build_parser() is _build_parser()
 
 
 def record() -> None:

@@ -10,9 +10,11 @@ exactly on its edge. The two satisfiability builders are also compared
 on wider tables (4 or 5 attributes, up to 12 independent rows), where
 their language search prunes subtrees below depth 2, and the similarity
 builders and matrix on tables of 65-80 mostly distinct rows, where the
-kernel's row bitsets are wider than 64 bits. The indexed
-class-specific resolution is compared with a reference copy of the
-per-cell peer scan.
+kernel's row bitsets are wider than 64 bits. The language search's
+per-formula degrees are compared with the reference profile of every
+formula, and the complete-table language route with reference copies
+that evaluate every formula's meaning set. The indexed class-specific
+resolution is compared with a reference copy of the per-cell peer scan.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from threeway import (
     NA,
     AttributeSchema,
     ClassSpecific,
+    DescribedSet,
     DoNotCare,
     EmptyResolutionError,
     GuardExceededError,
     IncompleteTable,
+    IncompleteTableError,
     Known,
     NotApplicable,
     Partial,
@@ -40,20 +44,25 @@ from threeway import (
     UnresolvedReferenceError,
     alpha_meaning_set,
     approximability,
+    cdef_family,
     cdes,
     confidence,
     description_regions_alpha_meaning,
     description_regions_alpha_sim,
     description_regions_approx,
+    description_regions_complete,
     description_regions_confidence,
     enumerate_cdl,
+    meaning_set,
     resolve_class_specific,
     sat_degree,
+    sat_profile,
     similarity,
     similarity_matrix,
     to_set_valued,
 )
 from threeway.language import STRICT, cdl_size
+from threeway.satisfiability import strict_degrees
 
 DIFFERENTIAL = settings(
     max_examples=200,
@@ -118,6 +127,27 @@ def reference_confidence(table, attrs, alpha, members, kind):
         if conf.reject >= alpha:
             dneg.add(p)
     return frozenset(dpos), frozenset(dneg)
+
+
+def reference_complete(table, attrs, members):
+    complement = frozenset(table.objects) - members
+    dpos, dneg = set(), set()
+    for p in enumerate_cdl(tuple(map(table.schema, attrs)), STRICT):
+        m = meaning_set(table, p)
+        if not m:
+            continue
+        if m <= members:
+            dpos.add(p)
+        elif m <= complement:
+            dneg.add(p)
+    return frozenset(dpos), frozenset(dneg)
+
+
+def reference_cdef_family(table, attrs):
+    grouped = {}
+    for p in enumerate_cdl(tuple(map(table.schema, attrs)), STRICT):
+        grouped.setdefault(meaning_set(table, p), set()).add(p)
+    return frozenset(DescribedSet(members, frozenset(fs)) for members, fs in grouped.items())
 
 
 def reference_resolve(it, x, a):
@@ -207,6 +237,28 @@ def _independent_rows(draw, schemas, min_size, max_size):
     if extreme < 2:
         members = frozenset(objects) if extreme else frozenset()
     return table, table.attribute_names, members
+
+
+@st.composite
+def complete_tables(draw):
+    """A complete table of up to 10 rows on 1-4 attributes, rows often
+    repeated, and a class that is sometimes every object or none."""
+    schemas = _schemas(draw, max_attrs=4)
+    pool = draw(
+        st.lists(st.tuples(*(st.sampled_from(s.domain) for s in schemas)), min_size=1, max_size=5)
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    objects = tuple(f"x{j + 1}" for j in range(len(rows)))
+    cells = {
+        (x, s.name): frozenset({row[i]}) for x, row in zip(objects, rows) for i, s in enumerate(schemas)
+    }
+    table = SetValuedTable(objects, schemas, cells)
+    members = frozenset(x for x in objects if draw(st.booleans()))
+    extreme = draw(st.integers(0, 7))
+    if extreme < 2:
+        members = frozenset(objects) if extreme else frozenset()
+    attrs = tuple(a for a in table.attribute_names if draw(st.booleans())) or table.attribute_names
+    return table, attrs, members
 
 
 @st.composite
@@ -481,6 +533,56 @@ def test_language_guard_comes_first(setvalued8, builder):
     with pytest.raises(GuardExceededError, match=f"^{total} formulas exceed the cap of {total - 1}$"):
         builder(setvalued8, attrs, Fraction(1, 2), {"x1"}, "min", max_formulas=total - 1)
     builder(setvalued8, attrs, Fraction(1, 2), {"x1"}, TNorm.MIN, max_formulas=total)
+
+
+# --------------------------------------------------------------------------
+# Per-formula degrees of the language search, and the complete-table
+# language route on top of it
+
+
+def _assert_strict_degrees_match_profiles(table, attrs, kind):
+    got = strict_degrees(table, attrs, kind)
+    assert [p for p, _ in got] == enumerate_cdl(tuple(map(table.schema, attrs)), STRICT)
+    for p, ns in got:
+        want = {x: d for x, d in sat_profile(table, p, kind).degrees.items() if d}
+        assert {x: Fraction(1, n) for x, n in ns.items()} == want, p
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@DIFFERENTIAL
+@given(pooled_tables())
+def test_strict_degrees_match_sat_profile(kind, case):
+    table, attrs, _ = case
+    _assert_strict_degrees_match_profiles(table, attrs, kind)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@DEEP
+@given(deep_tables())
+def test_strict_degrees_match_sat_profile_deep(kind, case):
+    table, attrs, _ = case
+    _assert_strict_degrees_match_profiles(table, attrs, kind)
+
+
+@DIFFERENTIAL
+@given(complete_tables())
+def test_complete_regions_match_reference(case):
+    table, attrs, members = case
+    assert description_regions_complete(table, attrs, members) == reference_complete(table, attrs, members)
+
+
+@DIFFERENTIAL
+@given(complete_tables())
+def test_cdef_family_matches_reference(case):
+    table, attrs, _ = case
+    assert cdef_family(table, attrs) == reference_cdef_family(table, attrs)
+
+
+def test_complete_regions_reject_incomplete_table_first(setvalued8):
+    """The completeness check comes before the class and attribute checks,
+    as in ``partition`` and ``cdef_family``."""
+    with pytest.raises(IncompleteTableError, match="^operation requires a complete table$"):
+        description_regions_complete(setvalued8, ("nope",), {"nobody"})
 
 
 # --------------------------------------------------------------------------

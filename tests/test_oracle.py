@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 import expected
-from conftest import ATTR_ORDER, formula
+from conftest import ATTR_ORDER, DATA, formula
 from threeway import (
     GuardExceededError,
     TNorm,
@@ -22,6 +22,8 @@ from threeway import (
     similarity_matrix,
     to_set_valued,
 )
+from threeway.cli import main
+from threeway.satisfiability import strict_degrees
 
 OBJECTS = tuple(f"x{i}" for i in range(1, 9))
 
@@ -168,3 +170,40 @@ class TestRunAll:
         assert [(r.check, r.inputs, r.expected, r.actual) for r in failures] == [
             ("similarity-product-vs-worlds", "x4,x6", Fr(1, 6), Fr(1, 3))
         ]
+
+    def test_reads_the_production_search(self, setvalued8, monkeypatch):
+        """The satisfiability checks compare the worlds with the degrees of
+        the language search, run once per call."""
+        import threeway.oracle as oracle_mod
+
+        searched = []
+
+        def counted(*args):
+            searched.append(args)
+            return strict_degrees(*args)
+
+        monkeypatch.setattr(oracle_mod, "strict_degrees", counted)
+        assert all(r.passed for r in run_all_checks(setvalued8))
+        assert searched == [(setvalued8, setvalued8.attribute_names, TNorm.PRODUCT)]
+
+    def test_detects_corrupted_sat_degree(self, setvalued8, monkeypatch, capsys):
+        """One wrong denominator fails exactly the check of its object and
+        formula, and oracle-check exits 4 with that FAIL line."""
+        import threeway.oracle as oracle_mod
+
+        def corrupted(*args):
+            out = strict_degrees(*args)
+            for p, ns in out:
+                if p == formula("a3=1"):
+                    ns["x4"] = 2
+            return out
+
+        monkeypatch.setattr(oracle_mod, "strict_degrees", corrupted)
+        failures = [r for r in run_all_checks(setvalued8) if not r.passed]
+        assert [(r.check, r.inputs, r.expected, r.actual) for r in failures] == [
+            ("sat-degree-product-vs-worlds", "x4 |= (a3=1)", Fr(1, 3), Fr(1, 2))
+        ]
+        assert main(["oracle-check", "--table", str(DATA / "setvalued8.itab")]) == 4
+        out = capsys.readouterr().out
+        assert "sat-degree-product-vs-worlds: 375/376 ok" in out
+        assert "FAIL sat-degree-product-vs-worlds [x4 |= (a3=1)] expected=1/3 actual=1/2" in out

@@ -217,10 +217,19 @@ def pooled_tables(draw):
     return table, attrs, members
 
 
+def _class(draw, objects):
+    """A class that is sometimes every object or none, where alpha 0 puts
+    everything into one region."""
+    members = frozenset(x for x in objects if draw(st.booleans()))
+    extreme = draw(st.integers(0, 7))
+    if extreme < 2:
+        members = frozenset(objects) if extreme else frozenset()
+    return members
+
+
 def _independent_rows(draw, schemas, min_size, max_size):
     """A table of independently drawn rows over ``schemas``, searched on all
-    its attributes, and a class that is sometimes every object or none,
-    where alpha 0 puts everything into one region."""
+    its attributes, and a class from :func:`_class`."""
     options = _cell_options(schemas)
     rows = draw(
         st.lists(
@@ -232,17 +241,13 @@ def _independent_rows(draw, schemas, min_size, max_size):
     objects = tuple(f"x{j + 1}" for j in range(len(rows)))
     cells = {(x, s.name): row[i] for x, row in zip(objects, rows) for i, s in enumerate(schemas)}
     table = SetValuedTable(objects, schemas, cells)
-    members = frozenset(x for x in objects if draw(st.booleans()))
-    extreme = draw(st.integers(0, 7))
-    if extreme < 2:
-        members = frozenset(objects) if extreme else frozenset()
-    return table, table.attribute_names, members
+    return table, table.attribute_names, _class(draw, objects)
 
 
 @st.composite
 def complete_tables(draw):
     """A complete table of up to 10 rows on 1-4 attributes, rows often
-    repeated, and a class that is sometimes every object or none."""
+    repeated, and a class from :func:`_class`."""
     schemas = _schemas(draw, max_attrs=4)
     pool = draw(
         st.lists(st.tuples(*(st.sampled_from(s.domain) for s in schemas)), min_size=1, max_size=5)
@@ -253,10 +258,7 @@ def complete_tables(draw):
         (x, s.name): frozenset({row[i]}) for x, row in zip(objects, rows) for i, s in enumerate(schemas)
     }
     table = SetValuedTable(objects, schemas, cells)
-    members = frozenset(x for x in objects if draw(st.booleans()))
-    extreme = draw(st.integers(0, 7))
-    if extreme < 2:
-        members = frozenset(objects) if extreme else frozenset()
+    members = _class(draw, objects)
     attrs = tuple(a for a in table.attribute_names if draw(st.booleans())) or table.attribute_names
     return table, attrs, members
 

@@ -24,7 +24,6 @@ from .language import (
     Formula,
     formula_json,
     formula_sort_key_for,
-    object_description,
     render_formula,
 )
 from .oracle import OracleReport, run_all_checks
@@ -36,6 +35,7 @@ from .satisfiability import (
     strict_degrees,
 )
 from .similarity import (
+    _describer,
     description_regions_alpha_sim,
     description_regions_approx,
     similarity_matrix,
@@ -179,17 +179,16 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
         if args.class_value is None:
             raise ValueError("--class-column requires --class-value")
         column = args.class_column
-        st.schema(column)
-        cells = {x: st.cell(x, column) for x in st.objects}
+        cells, codes = st.column(column)
         # A *, partial or NA decision cell leaves the object's class open.
-        undecided = [x for x, cell in cells.items() if len(cell) != 1 or NA in cell]
+        undecided = [x for x, c in zip(st.objects, codes) if len(cells[c]) != 1 or NA in cells[c]]
         if undecided:
             shown = ", ".join(undecided[:5]) + (", ..." if len(undecided) > 5 else "")
             raise ValueError(
                 f"decision column {column!r} holds no single known value for "
                 f"{len(undecided)} object(s): {shown}"
             )
-        members = frozenset(x for x, cell in cells.items() if cell == {args.class_value})
+        members = frozenset(x for x, c in zip(st.objects, codes) if args.class_value in cells[c])
         return members, f"{column}={args.class_value}", column
     raise ValueError("a class is required: pass --class or --class-column/--class-value")
 
@@ -218,12 +217,11 @@ def _require_complete(st: SetValuedTable, method: str) -> None:
 
 
 def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
-    """The formula describing each block of the positive and negative regions."""
-    def describe(blocks):
-        return {object_description(st.known_row(next(iter(b))), attrs, st.attribute_names)
-                for b in blocks}
-
-    return describe(regions.pos), describe(regions.neg)
+    """The formula describing each block of the positive and negative
+    regions: on a complete table an object's only description is its row."""
+    describe = _describer(st, attrs)
+    sides = (regions.pos, regions.neg)
+    return tuple({p for b in blocks for p in describe(st.position(next(iter(b))))} for blocks in sides)
 
 
 def _description_regions(st, method, attrs, members, kind, alpha, args):
@@ -234,21 +232,13 @@ def _description_regions(st, method, attrs, members, kind, alpha, args):
     if method == "cdl-complete":
         return description_regions_complete(st, attrs, members, args.max_formulas)
     if method == "alpha-sim":
-        return description_regions_alpha_sim(
-            st, attrs, alpha, members, kind, args.max_formulas
-        )
+        return description_regions_alpha_sim(st, attrs, alpha, members, kind, args.max_formulas)
     if method == "approx":
-        return description_regions_approx(
-            st, attrs, alpha, members, kind, args.max_formulas
-        )
+        return description_regions_approx(st, attrs, alpha, members, kind, args.max_formulas)
     if method == "alpha-meaning":
-        return description_regions_alpha_meaning(
-            st, attrs, alpha, members, kind, args.max_formulas
-        )
+        return description_regions_alpha_meaning(st, attrs, alpha, members, kind, args.max_formulas)
     if method == "confidence":
-        return description_regions_confidence(
-            st, attrs, alpha, members, kind, args.max_formulas
-        )
+        return description_regions_confidence(st, attrs, alpha, members, kind, args.max_formulas)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -333,24 +323,17 @@ def _cmd_similarity(args) -> int:
     attrs = _resolve_attrs(args, st)
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
     matrix = similarity_matrix(st, attrs, kind)
-    # A matrix holds few distinct degrees; each is rendered once.
-    render = cache(format_exact if args.exact or args.format == "json" else format_decimal)
+    # Few distinct degrees: each is rendered once, keyed on its terms, as hashing a Fraction is slow.
+    fmt = format_exact if args.exact or args.format == "json" else format_decimal
+    render = cache(lambda num, den: fmt(Fraction(num, den)))
+    degrees = ([matrix.entries[x, y] for y in matrix.objects] for x in matrix.objects)
+    cells = [[render(g.numerator, g.denominator) for g in row] for row in degrees]
     if args.format == "json":
-        payload = {
-            "objects": list(matrix.objects),
-            "attrs": list(matrix.attrs),
-            "tnorm": kind.value,
-            "entries": [
-                [render(matrix.degree(x, y)) for y in matrix.objects] for x in matrix.objects
-            ],
-        }
+        payload = {"objects": list(matrix.objects), "attrs": list(matrix.attrs), "tnorm": kind.value,
+                   "entries": cells}
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return 0
-    cells = [[render(matrix.degree(x, y)) for y in matrix.objects] for x in matrix.objects]
-    width = max(
-        max(len(c) for row in cells for c in row),
-        max(len(x) for x in matrix.objects),
-    )
+    width = max(len(c) for row in [*cells, matrix.objects] for c in row)
     header = " " * width + " " + " ".join(f"{y:>{width}}" for y in matrix.objects)
     lines = [header]
     for x, row in zip(matrix.objects, cells):
@@ -365,20 +348,11 @@ def _cmd_satisfiability(args) -> int:
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
     # Degrees are 1/N; each distinct N is rendered once.
     render = cache(lambda n: format_exact(Fraction(1, n)))
-    entries = []
-    for i, (p, ns) in enumerate(strict_degrees(st, attrs, kind, args.max_formulas), start=1):
-        nonzero = {x: render(ns[x]) for x in st.objects if x in ns}
-        entries.append((f"p{i}", p, nonzero))
+    entries = [(f"p{i}", p, {x: render(ns[x]) for x in sorted(ns, key=st.position)})
+               for i, (p, ns) in enumerate(strict_degrees(st, attrs, kind, args.max_formulas), start=1)]
     if args.format == "json":
-        payload = [
-            {
-                "label": label,
-                "formula": formula_json(p),
-                "tnorm": kind.value,
-                "degrees": nonzero,
-            }
-            for label, p, nonzero in entries
-        ]
+        payload = [{"label": label, "formula": formula_json(p), "tnorm": kind.value, "degrees": nonzero}
+                   for label, p, nonzero in entries]
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return 0
     lines = []

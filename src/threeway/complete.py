@@ -74,10 +74,11 @@ def partition(t: SetValuedTable, attrs: Sequence[str]) -> Partition:
     """
     _require_complete(t)
     attrs = t.attr_subset(attrs)
-    keyed: dict[tuple[str, ...], list[str]] = {}
-    for x in t.objects:
-        row = t.known_row(x)
-        keyed.setdefault(tuple(row[a] for a in attrs), []).append(x)
+    # Equal cells of a column share one code.
+    keys = zip(*(t.column(a)[1] for a in attrs)) if attrs else itertools.repeat(())
+    keyed: dict[tuple[int, ...], list[str]] = {}
+    for x, key in zip(t.objects, keys):
+        keyed.setdefault(key, []).append(x)
     # Dicts keep insertion order, so blocks follow their first member.
     return Partition(tuple(frozenset(block) for block in keyed.values()))
 

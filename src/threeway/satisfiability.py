@@ -294,18 +294,18 @@ def _search(
         raise ValueError(f"unknown T-norm kind {kind!r}")
     inside = [x for x in st.objects if x in members]
     outside = [x for x in st.objects if x not in members]
+    sides = [x not in members for x in st.objects]
     # Per attribute, per value: an atom and its columns {object: |cell|}
     # over the class and the complement objects whose cell holds the value.
     # An {NA} cell holds no domain value.
     levels = []
     for a in attrs:
         columns = {v: ({}, {}) for v in st.schema(a).domain}
-        for side, objects in enumerate((inside, outside)):
-            for x in objects:
-                cell = st.cells[(x, a)]
-                for v in cell:
-                    if v in columns:
-                        columns[v][side][x] = len(cell)
+        cells, codes = st.column(a)
+        held = [[(columns[v], len(cell)) for v in cell if v in columns] for cell in cells]
+        for x, side, c in zip(st.objects, sides, codes):
+            for pair, n in held[c]:
+                pair[side][x] = n
         levels.append([(Atom(a, v), *pair) for v, pair in columns.items()])
 
     def grow(ns: dict, column: dict) -> dict:

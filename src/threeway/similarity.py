@@ -26,6 +26,7 @@ serve as references.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -35,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import GuardExceededError, UnknownIdError
 from .fuzzy import ONE, TNorm, as_degree, implication, tnorm
 from .language import DEFAULT_MAX_FORMULAS, Atom, Formula
-from .table import SetValuedTable
+from .table import NA, SetValuedTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,17 +137,7 @@ def cdes(
     """Conjunctive descriptions of an object: one formula per choice of a
     cell token for each attribute, ``NA`` admitted as an atom value."""
     attrs = _checked_attrs(st, attrs)
-    st.check_objects(x)
-    count = 1
-    for a in attrs:
-        count *= len(st.cell(x, a))
-    if count > max_formulas:
-        raise GuardExceededError(f"{count} descriptions exceed the cap of {max_formulas}")
-    token_lists = [st.ordered_cell(x, a) for a in attrs]
-    out = set()
-    for values in itertools.product(*token_lists):
-        out.add(Formula(tuple(Atom(a, v) for a, v in zip(attrs, values))))
-    return frozenset(out)
+    return frozenset(_describer(st, attrs)(st.position(x), max_formulas))
 
 
 def description_regions_alpha_sim(
@@ -321,16 +312,14 @@ class _Rows:
     on either side of the class ``members``."""
 
     def __init__(self, st: SetValuedTable, attrs: tuple[str, ...], members: frozenset[str]):
-        codes: list[dict[frozenset[str], int]] = [{} for _ in attrs]
+        # A row is the tuple of the table's own cell codes on attrs.
+        columns = [st.column(a) for a in attrs]
         index: dict[tuple[int, ...], int] = {}
-        self.row_of = []
-        for x in st.objects:
-            row = tuple(c.setdefault(st.cells[(x, a)], len(c)) for c, a in zip(codes, attrs))
-            self.row_of.append(index.setdefault(row, len(index)))
+        self.row_of = [index.setdefault(row, len(index)) for row in zip(*(codes for _, codes in columns))]
         self.rows = list(index)
         # pairs[i][c][e]: |c & e| and |c| * |e| for the cells coded c and e
         # on attrs[i]; two different objects sharing cell c get 1/|c|.
-        self.pairs = [[[(len(c & e), len(c) * len(e)) for e in cs] for c in cs] for cs in codes]
+        self.pairs = [[[(len(c & e), len(c) * len(e)) for e in cs] for c in cs] for cs, _ in columns]
         # others[inside][t]: objects of row t on the other side from an
         # object whose membership is ``inside``, which is never counted;
         # other_bits[inside] has the rows where that is above 0.
@@ -366,11 +355,32 @@ def _object_regions(st, attrs, members, rows, decide, max_formulas):
     are added at its first object in each region, in object order; so the
     description guard fires on the object a per-object evaluation would."""
     decide = cache(decide)
+    describe = _describer(st, attrs)
     regions: tuple[set[Formula], set[Formula]] = (set(), set())
     added: set[tuple[int, int]] = set()
-    for x, s in zip(st.objects, rows.row_of):
+    for i, (x, s) in enumerate(zip(st.objects, rows.row_of)):
         for side, hit in enumerate(decide(s, x in members)):
             if hit and (s, side) not in added:
                 added.add((s, side))
-                regions[side].update(cdes(st, attrs, x, max_formulas))
+                regions[side].update(describe(i, max_formulas))
     return frozenset(regions[0]), frozenset(regions[1])
+
+
+def _describer(st: SetValuedTable, attrs: tuple[str, ...]):
+    """``describe(i, max_formulas)``: :func:`cdes` of the ``i``-th object on
+    the checked ``attrs``, read from the columns. Each distinct cell's atoms,
+    in domain order with ``NA`` last, are listed once from shared atoms."""
+    columns = []
+    for a in attrs:
+        cells, codes = st.column(a)
+        atoms = [Atom(a, v) for v in st.schema(a).domain + (NA,)]
+        columns.append(([[p for p in atoms if p.value in cell] for cell in cells], codes))
+
+    def describe(i: int, max_formulas=math.inf) -> list[Formula]:
+        choices = [atoms_of[codes[i]] for atoms_of, codes in columns]
+        count = math.prod(map(len, choices))
+        if count > max_formulas:
+            raise GuardExceededError(f"{count} descriptions exceed the cap of {max_formulas}")
+        return [Formula(atoms) for atoms in itertools.product(*choices)]
+
+    return describe

@@ -33,10 +33,13 @@ may be inferred from the observed tokens (a warning is emitted).
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NoReturn
+from functools import cache
+from typing import NoReturn
 
 from .errors import (
     DomainInferenceWarning,
@@ -106,10 +109,32 @@ class NotApplicable:
 Cell = Known | DoNotCare | Partial | ClassSpecific | NotApplicable
 
 
+class _Cells(Mapping):
+    """Read-only ``(object, attribute) -> cell`` view, in row-major order, of
+    columns: ``columns[a]`` is the tuple of the distinct cells of ``a``, each
+    held by some object, and per object the index of its cell there."""
+
+    def __init__(self, objects: tuple[str, ...], positions: dict[str, int], columns: dict):
+        self.objects, self.positions, self.columns = objects, positions, columns
+
+    def __getitem__(self, key: tuple[str, str]):
+        x, a = key
+        cells, codes = self.columns[a]
+        return cells[codes[self.positions[x]]]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return itertools.product(self.objects, self.columns)
+
+    def __len__(self) -> int:
+        return len(self.objects) * len(self.columns)
+
+
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """Objects x attributes grid: shape checks, O(1) id indexes, and the
-    object, attribute-subset and class checks every route relies on."""
+    object, attribute-subset and class checks every route relies on.
+    ``cells`` is any total mapping of hashable cells, kept as a
+    :class:`_Cells` view in which equal cells of a column share one code."""
 
     objects: tuple[str, ...]
     attributes: tuple[AttributeSchema, ...]
@@ -126,34 +151,37 @@ class _Grid:
         by_name = {a.name: a for a in self.attributes}
         if len(by_name) != len(self.attributes):
             raise ValueError("duplicate attribute names")
-        object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_by_name", by_name)
-        if len(self.cells) != len(self.objects) * len(self.attributes):
-            raise ValueError("cells map is not total over objects x attributes")
-        # Keys are (object, attribute) tuples, so n*m distinct keys on the
-        # grid cover it; otherwise the scan in grid order names the first hole.
-        try:
-            on_grid = all(x in positions and a in by_name for x, a in self.cells)
-        except (TypeError, ValueError):  # a key that is not a pair
-            on_grid = False
-        if not on_grid:
-            for x in self.objects:
+        cells = self.cells
+        if not (isinstance(cells, _Cells) and cells.objects == self.objects
+                and tuple(cells.columns) == tuple(by_name)):
+            if len(cells) != len(self.objects) * len(self.attributes):
+                raise ValueError("cells map is not total over objects x attributes")
+            columns = {}
+            try:
                 for a in by_name:
-                    if (x, a) not in self.cells:
-                        raise ValueError(f"missing cell ({x}, {a})")
+                    index: dict[object, int] = {}
+                    codes = [index.setdefault(cells[(x, a)], len(index)) for x in self.objects]
+                    columns[a] = (tuple(index), tuple(codes))
+            except KeyError:  # n*m keys, some off the grid: name the first hole in grid order
+                x, a = next(key for key in itertools.product(self.objects, by_name) if key not in cells)
+                raise ValueError(f"missing cell ({x}, {a})") from None
+            cells = _Cells(self.objects, positions, columns)
+        object.__setattr__(self, "cells", cells)
+        # Check each distinct cell once; report the first bad cell in row-major order.
+        found = []
+        for j, (name, (values, codes)) in enumerate(cells.columns.items()):
+            domain = set(by_name[name].domain)
+            bad = {c: m for c, cell in enumerate(values) if (m := self._problem(name, cell, domain))}
+            if bad:
+                i = next(i for i, c in enumerate(codes) if c in bad)
+                found.append((i, j, f"cell ({self.objects[i]}, {name}){bad[codes[i]]}"))
+        if found:
+            raise ValueError(min(found)[2])
 
-    def _distinct_cells(self) -> Iterator[tuple[str, str, object]]:
-        """``(object, attribute, cell)`` for the first cell of each instance
-        per attribute, in ``cells`` order. The tables parse_table and
-        to_set_valued build share one instance among the equal cells of an
-        attribute, so a check of each cell instance checks each distinct
-        cell once and still fails on the first bad cell."""
-        seen: set[tuple[str, int]] = set()
-        for (x, name), cell in self.cells.items():
-            key = (name, id(cell))
-            if key not in seen:
-                seen.add(key)
-                yield x, name, cell
+    def _problem(self, name: str, cell, domain: set[str]) -> str | None:
+        """The end of the error message for a bad cell of column ``name``."""
+        return None
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -165,6 +193,10 @@ class _Grid:
         except KeyError:
             raise UnknownIdError(f"unknown attribute {name!r}") from None
 
+    def column(self, a: str) -> tuple[tuple, Sequence[int]]:
+        """The distinct cells of ``a`` and, per object, its cell's index there."""
+        return self.cells.columns[self.schema(a).name]
+
     def cell(self, x: str, a: str):
         try:
             return self.cells[(x, a)]
@@ -174,7 +206,7 @@ class _Grid:
     def position(self, x: str) -> int:
         """Index of object ``x`` in :attr:`objects`."""
         try:
-            return self._positions[x]
+            return self.cells.positions[x]
         except KeyError:
             raise UnknownIdError(f"unknown object {x!r}") from None
 
@@ -197,7 +229,7 @@ class _Grid:
     def class_set(self, x_set: Iterable[str]) -> frozenset[str]:
         """The class as a frozenset; every member must be an object."""
         members = frozenset(x_set)
-        unknown = sorted(x for x in members if x not in self._positions)
+        unknown = sorted(x for x in members if x not in self.cells.positions)
         if unknown:
             raise UnknownIdError(f"class contains unknown objects {unknown!r}")
         return members
@@ -209,19 +241,16 @@ class IncompleteTable(_Grid):
 
     cells: Mapping[tuple[str, str], Cell]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        domains = {name: set(schema.domain) for name, schema in self._by_name.items()}
-        for x, name, cell in self._distinct_cells():
-            if isinstance(cell, Known) and cell.value not in domains[name]:
-                raise ValueError(f"cell ({x}, {name}): value {cell.value!r} outside domain")
-            if isinstance(cell, Partial) and not cell.values <= domains[name]:
-                raise ValueError(f"cell ({x}, {name}): partial values outside domain")
-            if isinstance(cell, ClassSpecific):
-                if cell.ref_attr == name:
-                    raise ValueError(f"cell ({x}, {name}): self-referencing class-specific cell")
-                if cell.ref_attr not in self._by_name:
-                    raise ValueError(f"cell ({x}, {name}): unknown reference attribute {cell.ref_attr!r}")
+    def _problem(self, name: str, cell: Cell, domain: set[str]) -> str | None:
+        if isinstance(cell, Known) and cell.value not in domain:
+            return f": value {cell.value!r} outside domain"
+        if isinstance(cell, Partial) and not cell.values <= domain:
+            return ": partial values outside domain"
+        if isinstance(cell, ClassSpecific) and cell.ref_attr == name:
+            return ": self-referencing class-specific cell"
+        if isinstance(cell, ClassSpecific) and cell.ref_attr not in self._by_name:
+            return f": unknown reference attribute {cell.ref_attr!r}"
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,17 +262,12 @@ class SetValuedTable(_Grid):
 
     cells: Mapping[tuple[str, str], frozenset[str]]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        domains = {name: set(schema.domain) for name, schema in self._by_name.items()}
-        for x, name, values in self._distinct_cells():
-            if not values:
-                raise ValueError(f"cell ({x}, {name}) is empty")
-            if NA in values:
-                if len(values) > 1:
-                    raise ValueError(f"cell ({x}, {name}) mixes {NA} with domain values")
-            elif not values <= domains[name]:
-                raise ValueError(f"cell ({x}, {name}) holds tokens outside the domain")
+    def _problem(self, name: str, values: frozenset[str], domain: set[str]) -> str | None:
+        if not values:
+            return " is empty"
+        if NA in values:
+            return f" mixes {NA} with domain values" if len(values) > 1 else None
+        return None if values <= domain else " holds tokens outside the domain"
 
     def ordered_cell(self, x: str, a: str) -> tuple[str, ...]:
         """Cell tokens in domain declaration order, ``NA`` last."""
@@ -271,15 +295,17 @@ def resolve_class_specific(it: IncompleteTable, x: str, a: str) -> frozenset[str
     cell = it.cell(x, a)
     if not isinstance(cell, ClassSpecific):
         raise ValueError(f"cell ({x}, {a}) is not class-specific")
-    peers = _peer_values(_known_column(it, cell.ref_attr), _known_column(it, a))
-    return _resolve(it, x, a, cell.ref_attr, peers)
+    ref_column = _known_column(it, cell.ref_attr)
+    peers = _peer_values(ref_column, _known_column(it, a))
+    return _resolve(x, a, cell.ref_attr, ref_column[it.position(x)], peers)
 
 
 def _known_column(it: IncompleteTable, a: str) -> list[str | None]:
     """Per object, the value of its cell on ``a`` when that cell is known,
     else None."""
-    cells = map(it.cells.__getitem__, zip(it.objects, itertools.repeat(a)))
-    return [cell.value if isinstance(cell, Known) else None for cell in cells]
+    cells, codes = it.column(a)
+    known = [cell.value if isinstance(cell, Known) else None for cell in cells]
+    return [known[c] for c in codes]
 
 
 def _peer_values(ref_column: list[str | None], column: list[str | None]) -> dict[str, frozenset[str]]:
@@ -295,17 +321,16 @@ def _peer_values(ref_column: list[str | None], column: list[str | None]) -> dict
 
 
 def _resolve(
-    it: IncompleteTable, x: str, a: str, ref_attr: str, peers: Mapping[str, frozenset[str]]
+    x: str, a: str, ref_attr: str, ref_value: str | None, peers: Mapping[str, frozenset[str]]
 ) -> frozenset[str]:
-    ref_cell = it.cell(x, ref_attr)
-    if not isinstance(ref_cell, Known):
+    if ref_value is None:
         raise UnresolvedReferenceError(
             f"cell ({x}, {a}): reference cell ({x}, {ref_attr}) is not a known value"
         )
-    values = peers.get(ref_cell.value)
+    values = peers.get(ref_value)
     if not values:
         raise EmptyResolutionError(
-            f"cell ({x}, {a}): no peer object with {ref_attr}={ref_cell.value} "
+            f"cell ({x}, {a}): no peer object with {ref_attr}={ref_value} "
             f"supplies a known value"
         )
     return values
@@ -316,41 +341,34 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
 
     Known(v) maps to {v}, do-not-care to the full domain, partially-known
     to its value set, class-specific to its resolution, non-applicable to
-    {NA}. The cells of an attribute that share one cell instance, as the
-    equal cells from :func:`parse_table` do, share one set; class-specific
-    cells resolve per object through one index of peer values per
-    (reference attribute, attribute) pair.
+    {NA}. Each distinct cell of a column is mapped once, over the column's
+    codes; class-specific cells then resolve per object, in row-major
+    order, through one index of peer values per (reference attribute,
+    attribute) pair.
     """
-    cells: dict[tuple[str, str], frozenset[str]] = {}
-    peers: dict[tuple[str, str], dict[str, frozenset[str]]] = {}
-    known: dict[str, list[str | None]] = {}
-    # Value set per cell instance and attribute; ``it`` keeps every cell
-    # alive, so no id is reused while these maps exist.
-    interned: dict[str, dict[int, frozenset[str]]] = {a: {} for a in it.attribute_names}
-    source = it.cells
-    for x in it.objects:
-        for schema in it.attributes:
-            a = schema.name
-            key = (x, a)
-            cell = source[key]
-            values = interned[a].get(id(cell))
-            if values is None:
-                if isinstance(cell, ClassSpecific):
-                    peer_key = (cell.ref_attr, a)
-                    if peer_key not in peers:
-                        for b in peer_key:
-                            if b not in known:
-                                known[b] = _known_column(it, b)
-                        peers[peer_key] = _peer_values(known[cell.ref_attr], known[a])
-                    values = _resolve(it, x, a, cell.ref_attr, peers[peer_key])
-                else:
-                    values = interned[a][id(cell)] = _values(cell, schema)
-            cells[key] = values
-    return SetValuedTable(it.objects, it.attributes, cells)
+    columns: dict[str, tuple[dict[frozenset[str], int], list[int]]] = {}
+    specific: list[tuple[int, int, str]] = []
+    for j, schema in enumerate(it.attributes):
+        cells, codes = it.column(schema.name)
+        index: dict[frozenset[str], int] = {}
+        values = [_values(cell, schema) for cell in cells]
+        recode = [None if v is None else index.setdefault(v, len(index)) for v in values]
+        columns[schema.name] = (index, [recode[c] for c in codes])
+        specific += [(i, j, cells[c].ref_attr) for i, c in enumerate(codes) if recode[c] is None]
+    known = cache(lambda b: _known_column(it, b))
+    peers = cache(lambda ref_attr, a: _peer_values(known(ref_attr), known(a)))
+    for i, j, ref_attr in sorted(specific):
+        a = it.attributes[j].name
+        index, codes = columns[a]
+        resolved = _resolve(it.objects[i], a, ref_attr, known(ref_attr)[i], peers(ref_attr, a))
+        codes[i] = index.setdefault(resolved, len(index))
+    coded = {a: (tuple(index), tuple(codes)) for a, (index, codes) in columns.items()}
+    return SetValuedTable(it.objects, it.attributes, _Cells(it.objects, it.cells.positions, coded))
 
 
-def _values(cell: Cell, schema: AttributeSchema) -> frozenset[str]:
-    """The value set of a cell that is not class-specific."""
+def _values(cell: Cell, schema: AttributeSchema) -> frozenset[str] | None:
+    """The value set of a cell; None for a class-specific cell, which
+    resolves per object."""
     if isinstance(cell, Known):
         return frozenset({cell.value})
     if isinstance(cell, DoNotCare):
@@ -359,22 +377,19 @@ def _values(cell: Cell, schema: AttributeSchema) -> frozenset[str]:
         return cell.values
     if isinstance(cell, NotApplicable):
         return frozenset({NA})
+    if isinstance(cell, ClassSpecific):
+        return None
     raise TypeError(f"unknown cell variant {cell!r}")  # pragma: no cover - union is closed
 
 
 def is_complete(st: SetValuedTable) -> bool:
     """True iff every cell is a singleton other than {NA}."""
-    return all(len(values) == 1 and NA not in values for values in st.cells.values())
+    return all(len(v) == 1 and NA not in v for cells, _ in st.cells.columns.values() for v in cells)
 
 
 def world_count(st: SetValuedTable, rows: Iterable[str] | None = None) -> int:
     """Number of complete assignments obtainable by picking one token per cell."""
-    selected = _select_rows(st, rows)
-    count = 1
-    for x in selected:
-        for a in st.attribute_names:
-            count *= len(st.cell(x, a))
-    return count
+    return math.prod(len(st.cell(x, a)) for x in _select_rows(st, rows) for a in st.attribute_names)
 
 
 def possible_worlds(
@@ -445,8 +460,7 @@ def parse_table(text: str) -> IncompleteTable:
     lines = text.splitlines()
     attr_names: list[str] | None = None
     declared: dict[str, tuple[str, ...]] = {}
-    objects: list[str] = []
-    objects_seen: set[str] = set()
+    positions: dict[str, int] = {}
     rows: list[list[str]] = []
     row_lines: list[int] = []
     in_objects = False
@@ -491,16 +505,15 @@ def parse_table(text: str) -> IncompleteTable:
             if not in_objects:
                 raise TableParseError("object row before @objects", line_no, _column(raw, 0))
             assert attr_names is not None
-            if head in objects_seen:
+            if head in positions:
                 raise TableParseError(f"duplicate object id {head!r}", line_no, _column(raw, 0))
-            objects_seen.add(head)
             if len(tokens) - 1 != len(attr_names):
                 raise TableParseError(
                     f"object {head!r} has {len(tokens) - 1} cells, expected {len(attr_names)}",
                     line_no,
                     _column(raw, 0),
                 )
-            objects.append(head)
+            positions[head] = len(positions)
             rows.append(tokens[1:])
             row_lines.append(line_no)
 
@@ -565,13 +578,15 @@ def parse_table(text: str) -> IncompleteTable:
     if bad:
         fail_first(bad)
 
-    cells = {
-        (x, name): cells_of[token]
-        for x, tokens in zip(objects, rows)
-        for name, cells_of, token in zip(attr_names, parsed, tokens)
-    }
+    # Equal cells of an attribute, such as {0|1} and {1|0}, share one code.
+    cell_columns = {}
+    for name, cells_of, column in zip(attr_names, parsed, columns):
+        index: dict[Cell, int] = {}
+        code_of = {token: index.setdefault(cell, len(index)) for token, cell in cells_of.items()}
+        cell_columns[name] = (tuple(index), tuple(map(code_of.__getitem__, column)))
     schemas = tuple(AttributeSchema(name, domains[name]) for name in attr_names)
-    return IncompleteTable(tuple(objects), schemas, cells)
+    objects = tuple(positions)
+    return IncompleteTable(objects, schemas, _Cells(objects, positions, cell_columns))
 
 
 def _parse_cell(token: str, attr: str, attr_names: list[str]) -> Cell:

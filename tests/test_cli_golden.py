@@ -1,5 +1,6 @@
 """Byte-level CLI goldens: stdout and exit code of every method on both
-fixture tables, and of the matrix, degree and oracle listings.
+fixture tables, of the matrix, degree and oracle listings, and of
+eq-complete on a forty-object complete table.
 
 Rewrite ``data/cli_golden.json`` only when output is meant to change:
 
@@ -55,6 +56,16 @@ def cases() -> list[tuple[str, ...]]:
                 out.append(("regions", "--table", "setvalued8.itab", "--method", method,
                             "--tnorm", tnorm, "--alpha", alpha, "--class", "x1,x2,x3,x4",
                             "--format", "json"))
+    # Equivalence classes on a larger complete table: repeated rows and
+    # boundary blocks, a class by ids or by the decision column, and an
+    # attribute subset given out of declaration order.
+    for class_args in (("--class", "x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,x11,x12"),
+                       ("--class-column", "d", "--class-value", "yes"),
+                       ("--attrs", "a2,a1", "--class-column", "d", "--class-value", "yes")):
+        for command in ("regions", "rules"):
+            for fmt in FORMATS:
+                out.append((command, "--table", "complete40.itab", "--method", "eq-complete",
+                            *class_args, *fmt))
     return out
 
 

@@ -55,7 +55,9 @@ def _tokenize(line):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
-def reference_parse_table(text):
+def reference_parse_table(text, build=IncompleteTable):
+    """The table of ``text``, as ``build(objects, schemas, cells)`` with
+    ``cells`` a dict keyed by ``(object, attribute)`` in row-major order."""
     attr_names = None
     declared = {}
     raw_rows = []
@@ -137,7 +139,7 @@ def reference_parse_table(text):
 
     schemas = tuple(AttributeSchema(name, domains[name]) for name in attr_names)
     objects = tuple(obj for _, obj, _ in raw_rows)
-    return IncompleteTable(objects, schemas, cells)
+    return build(objects, schemas, cells)
 
 
 def _reference_parse_cell(token, attr, attr_names, line_no, col):
@@ -189,7 +191,7 @@ def _reference_finish_domains(attr_names, declared, parsed):
     return domains
 
 
-def reference_to_set_valued(it):
+def reference_to_set_valued(it, build=SetValuedTable):
     cells = {}
     peers = {}
     for x in it.objects:
@@ -209,7 +211,7 @@ def reference_to_set_valued(it):
                 cells[(x, a)] = _reference_resolve(it, x, a, cell.ref_attr, peers[key])
             else:
                 cells[(x, a)] = frozenset({NA})
-    return SetValuedTable(it.objects, it.attributes, cells)
+    return build(it.objects, it.attributes, cells)
 
 
 def _reference_peer_values(it, ref_attr, a):

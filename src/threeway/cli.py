@@ -9,8 +9,8 @@ Output bytes are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -22,12 +22,12 @@ from .fuzzy import TNorm, format_decimal, format_exact, parse_degree
 from .language import (
     DEFAULT_MAX_FORMULAS,
     Formula,
-    formula_json,
     formula_sort_key_for,
     render_formula,
+    write_json,
 )
 from .oracle import OracleReport, run_all_checks
-from .rules import Provenance, RuleSet, derive_rules
+from .rules import Provenance, RuleSet, _payload, derive_rules
 from .rules import render as render_rules
 from .satisfiability import (
     description_regions_alpha_meaning,
@@ -204,11 +204,24 @@ def _resolve_kind_alpha(args, method: str) -> tuple[TNorm, Fraction | None]:
     return kind, parse_degree(args.alpha)
 
 
-def _emit(args, text: str) -> None:
+@contextmanager
+def _output(args):
+    """The ``write`` of ``--out`` (UTF-8 text) or of stdout."""
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            yield f.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as write:
+        write(text)
+
+
+def _emit_json(args, payload) -> None:
+    with _output(args) as write:
+        write_json(payload, write)
 
 
 def _require_complete(st: SetValuedTable, method: str) -> None:
@@ -297,10 +310,10 @@ def _cmd_regions(args) -> int:
         dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
         dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
         pos, neg = _sorted_formulas(dpos, schemas), _sorted_formulas(dneg, schemas)
-        payload = {"dpos": [formula_json(p) for p in pos], "dneg": [formula_json(p) for p in neg]}
+        payload = {"dpos": pos, "dneg": neg}
         lines = [f"DPOS {render_formula(p)}" for p in pos] + [f"DNEG {render_formula(p)}" for p in neg]
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
         return 0
     ruleset = _derive(args, schemas, dpos, dneg, label, kind, alpha)
     lines.append(render_rules(ruleset, "text").rstrip("\n"))
@@ -314,7 +327,10 @@ def _cmd_rules(args) -> int:
     dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
     dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
     ruleset = _derive(args, tuple(map(st.schema, attrs)), dpos, dneg, label, kind, alpha)
-    _emit(args, render_rules(ruleset, args.format))
+    if args.format == "json":
+        _emit_json(args, _payload(ruleset))
+    else:
+        _emit(args, render_rules(ruleset, "text"))
     return 0
 
 
@@ -331,7 +347,7 @@ def _cmd_similarity(args) -> int:
     if args.format == "json":
         payload = {"objects": list(matrix.objects), "attrs": list(matrix.attrs), "tnorm": kind.value,
                    "entries": cells}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
         return 0
     width = max(len(c) for row in [*cells, matrix.objects] for c in row)
     header = " " * width + " " + " ".join(f"{y:>{width}}" for y in matrix.objects)
@@ -351,9 +367,9 @@ def _cmd_satisfiability(args) -> int:
     entries = [(f"p{i}", p, {x: render(ns[x]) for x in sorted(ns, key=st.position)})
                for i, (p, ns) in enumerate(strict_degrees(st, attrs, kind, args.max_formulas), start=1)]
     if args.format == "json":
-        payload = [{"label": label, "formula": formula_json(p), "tnorm": kind.value, "degrees": nonzero}
+        payload = [{"label": label, "formula": p, "tnorm": kind.value, "degrees": nonzero}
                    for label, p, nonzero in entries]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
         return 0
     lines = []
     for label, p, nonzero in entries:
@@ -383,7 +399,7 @@ def _cmd_oracle(args) -> int:
             }
             for r in reports
         ]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         lines = []
         by_check: dict[str, list[OracleReport]] = {}

@@ -18,6 +18,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
@@ -134,17 +135,30 @@ def formula_sort_key(p: Formula, schemas: Sequence[AttributeSchema]):
 
 def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formula], tuple]:
     """:func:`formula_sort_key` with ``schemas`` fixed. The rank tables are
-    built once, so a sort over many formulas does not rebuild them."""
-    ranks = {s.name: (i, {v: j for j, v in enumerate(s.domain)}) for i, s in enumerate(schemas)}
+    built once, so a sort over many formulas does not rebuild them.
+
+    The key is ``(atom count, sorted (attribute rank, value rank) pairs)``;
+    a value outside the domain ranks after it. Each pair is built once per
+    schema, and atoms already in declaration order, as made by
+    :func:`make_formula`, skip the sort."""
+    pairs_of = {
+        s.name: (i, {v: (i, j) for j, v in enumerate(s.domain)}, (i, len(s.domain)))
+        for i, s in enumerate(schemas)
+    }
 
     def key(p: Formula) -> tuple:
         pairs = []
+        last = -1
+        ordered = True
         for atom in p.atoms:
-            if atom.attr not in ranks:
+            entry = pairs_of.get(atom.attr)
+            if entry is None:
                 raise UnknownIdError(f"formula attribute {atom.attr!r} not in schema")
-            attr_rank, value_ranks = ranks[atom.attr]
-            pairs.append((attr_rank, value_ranks.get(atom.value, len(value_ranks))))
-        return (len(pairs), tuple(sorted(pairs)))
+            attr_rank, known, other = entry
+            ordered = ordered and attr_rank > last
+            last = attr_rank
+            pairs.append(known.get(atom.value, other))
+        return (len(pairs), tuple(pairs) if ordered else tuple(sorted(pairs)))
 
     return key
 
@@ -204,3 +218,90 @@ def parse_formula(text: str, attr_order: Sequence[str]) -> Formula:
 def formula_json(p: Formula) -> list[dict[str, str]]:
     """JSON form: list of ``{"attr": ..., "value": ...}`` pairs."""
     return [{"attr": atom.attr, "value": atom.value} for atom in p.atoms]
+
+
+#: Pieces joined into one ``write`` call by :func:`write_json`.
+_JSON_BATCH = 2048
+
+
+def _json_key(k: str) -> str:
+    return _quote(k) + ": "
+
+
+def write_json(obj, write: Callable[[str], object]) -> None:
+    """Write the text of ``json.dumps(obj, indent=2) + "\\n"`` through
+    ``write``, in batches of joined pieces rather than one string.
+
+    ``obj`` nests dicts with ``str`` keys, lists, tuples, strings, ints,
+    bools and ``None``. A :class:`Formula` leaf is written as
+    :func:`formula_json` of it would be; each distinct atom's text at each
+    depth is built once per call. Strings go through the stdlib's C
+    ``ensure_ascii`` encoder.
+    """
+    out: list[str] = []
+    atoms: dict[tuple[str, str, str], str] = {}
+
+    def formula(p: Formula, pad: str) -> str:
+        inner = pad + "  "
+        texts = []
+        for atom in p.atoms:
+            key = (atom.attr, atom.value, pad)
+            text = atoms.get(key)
+            if text is None:
+                deep = inner + "  "
+                text = atoms[key] = (
+                    f'{{{deep}"attr": {_quote(atom.attr)},{deep}"value": {_quote(atom.value)}{inner}}}'
+                )
+            texts.append(text)
+        return f"[{inner}{(',' + inner).join(texts)}{pad}]"
+
+    def leaf(v, pad: str) -> str | None:
+        """The text of a scalar or formula; ``None`` for a container."""
+        if isinstance(v, str):
+            return _quote(v)
+        if isinstance(v, Formula):
+            return formula(v, pad)
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, (dict, list, tuple)):
+            return None
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    def container(o, pad: str) -> None:
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = pad + "  "
+        if is_dict:  # the C encoder rejects a key that is not a str
+            items = zip(map(_json_key, o), o.values())
+            sep, close = "{" + inner, pad + "}"
+        else:
+            items = zip(itertools.repeat(""), o)
+            sep, close = "[" + inner, pad + "]"
+        for head, v in items:
+            text = leaf(v, inner)
+            if text is None:
+                out.append(sep + head)
+                container(v, inner)
+            else:
+                out.append(sep + head + text)
+            sep = "," + inner
+            if len(out) >= _JSON_BATCH:
+                write("".join(out))
+                out.clear()
+        out.append(close)
+
+    text = leaf(obj, "\n")
+    if text is None:
+        container(obj, "\n")
+    else:
+        out.append(text)
+    out.append("\n")
+    write("".join(out))

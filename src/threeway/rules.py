@@ -9,14 +9,13 @@ Anything not matched by a rule falls to the non-commitment default.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import IncompleteTableError
 from .fuzzy import format_exact
-from .language import Formula, formula_json, render_formula, satisfies
+from .language import Formula, formula_json, render_formula, satisfies, write_json
 
 
 class Decision(enum.Enum):
@@ -146,21 +145,26 @@ def render(rs: RuleSet, fmt: str = "text") -> str:
         lines.append(f"{_MARKS[rs.default]} otherwise")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(rules_json(rs), indent=2) + "\n"
+        parts: list[str] = []
+        write_json(_payload(rs), parts.append)
+        return "".join(parts)
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def rules_json(rs: RuleSet) -> dict:
     """JSON-ready form following the documented schema."""
+    return _payload(rs, formula_json)
+
+
+def _payload(rs: RuleSet, lhs: Callable[[Formula], object] = lambda p: p) -> dict:
+    """:func:`rules_json` with each rule's left side as ``lhs`` of it; by
+    default the :class:`Formula` itself, a leaf of ``write_json``."""
     prov = rs.rules[0].provenance if rs.rules else Provenance(method="")
     return {
         "method": prov.method,
         "tnorm": prov.tnorm,
         "alpha": None if prov.alpha is None else format_exact(prov.alpha),
         "class": prov.class_label,
-        "rules": [
-            {"lhs": formula_json(rule.lhs), "decision": rule.decision.value}
-            for rule in rs.rules
-        ],
+        "rules": [{"lhs": lhs(rule.lhs), "decision": rule.decision.value} for rule in rs.rules],
         "default": rs.default.value,
     }

@@ -1,6 +1,7 @@
 """Byte-level CLI goldens: stdout and exit code of every method on both
 fixture tables, of the matrix, degree and oracle listings, and of
-eq-complete on a forty-object complete table.
+eq-complete on a forty-object complete table, and of every JSON command
+on a table whose names and values are not ASCII.
 
 Rewrite ``data/cli_golden.json`` only when output is meant to change:
 
@@ -27,6 +28,14 @@ FORMATS = (("--format", "text"), ("--format", "json"))
 CLASS = ("--alpha", "3/5", "--class", "x1,x2,x3,x4")
 FUZZY_METHODS = ("alpha-sim", "approx", "alpha-meaning", "confidence")
 EDGE_ALPHAS = ("0", "1", "1/3")
+UNICODE_CLASS = ("--class-column", "δ", "--class-value", "ja")
+UNICODE_COMMANDS = (
+    ("rules", "--method", "confidence", "--tnorm", "prod", "--alpha", "1/2", *UNICODE_CLASS),
+    ("regions", "--method", "alpha-meaning", "--tnorm", "min", "--alpha", "1/2", *UNICODE_CLASS),
+    ("similarity", "--tnorm", "prod", "--attrs", "größe,farbe"),
+    ("satisfiability", "--tnorm", "min"),
+    ("oracle-check",),
+)
 
 
 def cases() -> list[tuple[str, ...]]:
@@ -66,7 +75,17 @@ def cases() -> list[tuple[str, ...]]:
             for fmt in FORMATS:
                 out.append((command, "--table", "complete40.itab", "--method", "eq-complete",
                             *class_args, *fmt))
+    # An empty positive region: no block of complete6 lies inside {x4}.
+    for fmt in FORMATS:
+        out.append(("regions", "--table", "complete6.itab", "--method", "eq-complete", "--class", "x4", *fmt))
+    # Ids, attribute names and values outside ASCII pin the JSON escaping
+    # of every command, astral characters (surrogate pairs) included.
+    out += [unicode_case(command) for command in UNICODE_COMMANDS]
     return out
+
+
+def unicode_case(command: tuple[str, ...]) -> tuple[str, ...]:
+    return (command[0], "--table", "unicode5.itab", *command[1:], "--format", "json")
 
 
 def run(argv: tuple[str, ...]) -> tuple[int, str]:
@@ -95,6 +114,27 @@ def test_cli_output_matches_golden(golden, argv):
     want = golden[" ".join(argv)]
     code, stdout = run(argv)
     assert (code, stdout) == (want["exit"], want["stdout"])
+
+
+@pytest.mark.parametrize("argv", [a for a in cases() if a[-2:] == FORMATS[1]], ids=" ".join)
+def test_json_golden_is_the_stdlib_encoding(golden, argv):
+    """Every JSON golden is what ``json.dumps(indent=2)`` prints for its
+    own document, so the goldens pin the stdlib's bytes."""
+    want = golden[" ".join(argv)]
+    if want["exit"] == 1:  # a complete-only method refused the table before printing
+        assert want["stdout"] == ""
+    else:
+        assert want["stdout"] == json.dumps(json.loads(want["stdout"]), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", UNICODE_COMMANDS, ids=lambda c: c[0])
+def test_out_file_holds_the_stdout_bytes(golden, command, tmp_path):
+    argv = unicode_case(command)
+    target = tmp_path / "out.json"
+    code, stdout = run((*argv, "--out", str(target)))
+    want = golden[" ".join(argv)]
+    assert (code, stdout) == (want["exit"], "")
+    assert target.read_bytes() == want["stdout"].encode("utf-8")
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,9 @@ class TestEnumeration:
 
     def test_sort_key_values(self, complete6, setvalued8):
         """The keys are those of the definition that looked each value up in
-        its domain tuple; an NA atom ranks after the domain."""
+        its domain tuple; an NA atom ranks after the domain. A formula built
+        with its atoms out of declaration order gets the key of its
+        canonical form."""
 
         def reference_key(p, schemas):
             rank = {s.name: i for i, s in enumerate(schemas)}
@@ -89,6 +91,8 @@ class TestEnumeration:
         for schemas in (complete6.attributes, setvalued8.attributes):
             for p in enumerate_cdl(schemas, EXTENDED):
                 assert formula_sort_key(p, schemas) == reference_key(p, schemas)
+                reversed_p = Formula(p.atoms[::-1])
+                assert formula_sort_key(reversed_p, schemas) == reference_key(p, schemas)
 
     def test_structural_inventory(self, setvalued8):
         out = set(enumerate_cdl(setvalued8.attributes))

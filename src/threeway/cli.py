@@ -180,6 +180,8 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
             raise ValueError("--class-column requires --class-value")
         column = args.class_column
         cells, codes = st.column(column)
+        if args.class_value not in st.schema(column).domain:
+            raise ValueError(f"class value {args.class_value!r} is not in the domain of decision column {column!r}")
         # A *, partial or NA decision cell leaves the object's class open.
         undecided = [x for x, c in zip(st.objects, codes) if len(cells[c]) != 1 or NA in cells[c]]
         if undecided:
@@ -291,6 +293,7 @@ def _setup(args):
     st = _load_table(args)
     members, label, excluded = _resolve_class(args, st)
     attrs = _resolve_attrs(args, st, exclude=excluded)
+    list(map(st.schema, args.strip_na_atoms or ()))  # unknown names fail as --attrs does
     kind, alpha = _resolve_kind_alpha(args, args.method)
     return st, members, label, attrs, kind, alpha
 
@@ -364,7 +367,7 @@ def _cmd_satisfiability(args) -> int:
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
     # Degrees are 1/N; each distinct N is rendered once.
     render = cache(lambda n: format_exact(Fraction(1, n)))
-    entries = [(f"p{i}", p, {x: render(ns[x]) for x in sorted(ns, key=st.position)})
+    entries = [(f"p{i}", p, {x: render(n) for x, n in ns.items()})
                for i, (p, ns) in enumerate(strict_degrees(st, attrs, kind, args.max_formulas), start=1)]
     if args.format == "json":
         payload = [{"label": label, "formula": p, "tnorm": kind.value, "degrees": nonzero}

@@ -9,31 +9,34 @@ implication and the standard negator. Formulas here are strict: ``NA`` is
 not an admissible atom value, and an ``{NA}`` cell satisfies every atom
 on that attribute to degree 0.
 
-The region builders run on an integer search (end of this module): a
-depth-first walk over the set-enumeration tree of strict formulas, in
-which each formula's degrees 1/N follow from its parent's and one atom
-column, and a subtree is skipped when none of its formulas can enter a
-region. Two bounds make that safe, because adding an atom never lowers N:
-an object that misses alpha on a formula misses it on every extension,
-and a formula's acceptance (rejection) confidence is at most the class
-(complement) side's max D under MIN, 1 - prod (1 - D) under PRODUCT,
-which never grows down the tree. The same walk, cut nowhere, gives every
-formula's degrees (:func:`strict_degrees`). No production path calls
-``sat_degree``, ``sat_profile``, ``alpha_meaning_set``, ``confidence`` or
-``confidence_closed``, which evaluate the defining expressions and serve
-as references.
+The region builders run on an integer search (at the end): a depth-first
+walk over the set-enumeration tree of strict formulas, in which each
+formula's degrees 1/N, as (N, object bitset) levels, are ANDed from its
+parent's and one atom column, and a subtree is skipped when none of its
+formulas can enter a region. Two bounds make that safe, because adding
+an atom never lowers N: an object that misses alpha on a formula misses
+it on every extension, and a formula's acceptance (rejection) confidence
+is at most the class (complement) side's max D under MIN and
+1 - prod (1 - D) under PRODUCT, neither growing down the tree. The same
+walk, cut nowhere, gives every formula's degrees (:func:`strict_degrees`).
+No production path calls ``sat_degree``, ``sat_profile``,
+``alpha_meaning_set``, ``confidence`` or ``confidence_closed``, which
+evaluate the defining expressions and serve as references.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, compress, repeat
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, implication, negate, tnorm
 from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, check_cdl_size, formula_sort_key_for
+from .similarity import _bits
 from .table import NA, SetValuedTable
 
 
@@ -84,18 +87,18 @@ def strict_degrees(
     st: SetValuedTable, attrs: Sequence[str], kind: TNorm, max_formulas: int = DEFAULT_MAX_FORMULAS
 ) -> list[tuple[Formula, dict[str, int]]]:
     """Every strict formula on ``attrs`` in ``enumerate_cdl`` order, each with
-    ``{object: N}`` over the objects that satisfy it to degree 1/N > 0."""
+    ``{object: N}``, in object order, over its objects of degree 1/N > 0."""
     attrs = st.attr_subset(attrs)
     schemas = tuple(map(st.schema, attrs))
     check_cdl_size(schemas, STRICT, max_formulas)
     out = []
 
-    def visit(atoms, _, ns) -> bool:
-        out.append((Formula(atoms), ns))
+    def visit(atoms, ns, bits) -> bool:
+        at = {i: n for n, b, below in zip(ns, bits, (0, *bits)) for i in _bits(b & ~below)}
+        out.append((Formula(atoms), {st.objects[i]: at[i] for i in sorted(at)}))
         return True
 
-    # With an empty class every object is on the complement side.
-    _search(st, attrs, frozenset(), kind, visit)
+    _search(st, attrs, kind, visit)
     key = formula_sort_key_for(schemas)
     out.sort(key=lambda entry: key(entry[0]))
     return out
@@ -133,16 +136,19 @@ def description_regions_alpha_meaning(
     # search keeps; their set only shrinks down the tree, so a subtree
     # without them on either side has no formula in a region.
     everyone = (bool(members), len(members) < len(st.objects))
+    inside = sum(1 << i for i, x in enumerate(st.objects) if x in members)
+    outside = ~inside
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
 
-    def visit(atoms, hits_in, hits_out) -> bool:
-        hit_in, hit_out = (bool(hits_in), bool(hits_out)) if a else everyone
+    def visit(atoms, _, bits) -> bool:
+        hits = reduce(or_, bits, 0)
+        hit_in, hit_out = (bool(hits & inside), bool(hits & outside)) if a else everyone
         if hit_in != hit_out:
             (dpos if hit_in else dneg).add(Formula(atoms))
         return hit_in or hit_out
 
-    _search(st, attrs, members, kind, visit, b // a if a else math.inf)
+    _search(st, attrs, kind, visit, b // a if a else math.inf)
     return frozenset(dpos), frozenset(dneg)
 
 
@@ -223,22 +229,26 @@ def description_regions_confidence(
     # with alpha = a/b by cross-multiplying. accept is at most the class
     # side's bound, max D under MIN and 1 - prod (1 - D) under PRODUCT,
     # and reject the complement's; neither bound grows down the tree.
+    inside = sum(1 << i for i, x in enumerate(st.objects) if x in members)
+    outside = ~inside
     if kind is TNorm.MIN:
-        def side(ns: dict) -> tuple[bool, bool]:
+        def side(ns, bits, mask) -> tuple[bool, bool]:
             # Whether max D = 1/min N, and whether 1 - max D, reach alpha.
-            m = min(ns.values(), default=0)
+            m = next(compress(ns, map(and_, bits, repeat(mask))), 0)
             return (not a or 0 < m and a * m <= b), (not m or b * (m - 1) >= a * m)
 
-        def judge(ns_in: dict, ns_out: dict) -> tuple[bool, bool, bool]:
-            hi_in, lo_in = side(ns_in)
-            hi_out, lo_out = side(ns_out)
+        def judge(ns, bits) -> tuple[bool, bool, bool]:
+            hi_in, lo_in = side(ns, bits, inside)
+            hi_out, lo_out = side(ns, bits, outside)
             return hi_in and lo_out, hi_out and lo_in, hi_in or hi_out
 
     else:  # PRODUCT; the search rejects any other kind.
-        def judge(ns_in: dict, ns_out: dict) -> tuple[bool, bool, bool]:
-            # prod (1 - D) = p / q on each side.
-            p_in, q_in = math.prod(n - 1 for n in ns_in.values()), math.prod(ns_in.values())
-            p_out, q_out = math.prod(n - 1 for n in ns_out.values()), math.prod(ns_out.values())
+        def judge(ns, bits) -> tuple[bool, bool, bool]:
+            # prod (1 - D) = p / q per side: (N - 1)^c / N^c for its c objects at N.
+            p_in = q_in = p_out = q_out = 1
+            for n, h in zip(ns, bits):
+                c, d = (h & inside).bit_count(), (h & outside).bit_count()
+                p_in, q_in, p_out, q_out = p_in * (n - 1) ** c, q_in * n**c, p_out * (n - 1) ** d, q_out * n**d
             return (
                 b * p_out * (q_in - p_in) >= a * q_out * q_in,
                 b * p_in * (q_out - p_out) >= a * q_in * q_out,
@@ -248,8 +258,8 @@ def description_regions_confidence(
     dpos: set[Formula] = set()
     dneg: set[Formula] = set()
 
-    def visit(atoms, ns_in, ns_out) -> bool:
-        accept, reject, descend = judge(ns_in, ns_out)
+    def visit(atoms, ns, bits) -> bool:
+        accept, reject, descend = judge(ns, bits)
         if accept or reject:
             p = Formula(atoms)
             if accept:
@@ -258,7 +268,7 @@ def description_regions_confidence(
                 dneg.add(p)
         return descend
 
-    _search(st, attrs, members, kind, visit)
+    _search(st, attrs, kind, visit)
     return frozenset(dpos), frozenset(dneg)
 
 
@@ -267,59 +277,61 @@ def description_regions_confidence(
 # integer N: the largest |cell| over its atoms under MIN, their product
 # under PRODUCT, and 0 when some atom's value is not in its cell. Adding an
 # atom never lowers N and never brings back an object of degree 0, so each
-# formula's denominators follow from its parent's and one atom column.
+# formula's levels follow from its parent's and one atom column.
 
 
 def _search(
-    st: SetValuedTable,
-    attrs: tuple[str, ...],
-    members: frozenset[str],
-    kind: TNorm,
-    visit: Callable[[tuple[Atom, ...], dict, dict], bool],
-    cap: float = math.inf,
+    st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm, visit: Callable[..., bool], cap: float = math.inf
 ) -> None:
     """Depth first over the set-enumeration tree of the strict formulas on
-    ``attrs``, whose children add one atom on a later attribute.
+    ``attrs``, whose children add one atom on a later attribute and are
+    searched only when ``visit`` returns true for their parent.
 
-    Each formula reached is passed to ``visit`` as its atoms and, for the
-    class and for its complement, ``{object: N}`` over the objects of
-    degree 1/N > 0 with N <= ``cap``; its children are searched only when
-    ``visit`` returns true.
+    ``visit`` gets a formula's atoms and levels: denominators ``ns`` and
+    bitsets (bit i for ``st.objects[i]``) of its objects of degree 1/N > 0
+    with N <= ``cap``. Under MIN level k holds those with N <= ns[k], a
+    ladder over the cell sizes, ascending, so a child's levels are its
+    parent's ANDed with its atom's; under PRODUCT, those with N = ns[k].
     """
-    if kind is TNorm.MIN:
-        fold = max
-    elif kind is TNorm.PRODUCT:
-        fold = operator.mul
-    else:
+    if kind not in (TNorm.MIN, TNorm.PRODUCT):
         raise ValueError(f"unknown T-norm kind {kind!r}")
-    inside = [x for x in st.objects if x in members]
-    outside = [x for x in st.objects if x not in members]
-    sides = [x not in members for x in st.objects]
-    # Per attribute, per value: an atom and its columns {object: |cell|}
-    # over the class and the complement objects whose cell holds the value.
-    # An {NA} cell holds no domain value.
+    cap = min(cap, math.prod(len(st.schema(a).domain) for a in attrs))  # an int from here
+    sizes = sorted({len(c) for a in attrs for c in st.column(a)[0] if len(c) <= cap})
+    # Per attribute, per value: an atom and its column ({NA} holds no value).
     levels = []
     for a in attrs:
-        columns = {v: ({}, {}) for v in st.schema(a).domain}
         cells, codes = st.column(a)
-        held = [[(columns[v], len(cell)) for v in cell if v in columns] for cell in cells]
-        for x, side, c in zip(st.objects, sides, codes):
-            for pair, n in held[c]:
-                pair[side][x] = n
-        levels.append([(Atom(a, v), *pair) for v, pair in columns.items()])
+        held = [0] * len(cells)
+        for i, c in enumerate(codes):
+            held[c] |= 1 << i
+        exact = {v: [reduce(or_, (h for c, h in zip(cells, held) if v in c and len(c) == n), 0) for n in sizes]
+                 for v in st.schema(a).domain}
+        levels.append([(Atom(a, v), tuple(accumulate(hs, or_)) if kind is TNorm.MIN else tuple(zip(sizes, hs)))
+                       for v, hs in exact.items()])
+    everyone = (1 << len(st.objects)) - 1
+    if kind is TNorm.MIN:
+        def grow(ns, bits, column):
+            return ns, tuple(map(and_, bits, column))
+    else:
+        def grow(ns, bits, column):
+            out: dict[int, int] = {}
+            for n, b in zip(ns, bits):
+                for m, h in column:
+                    if n * m > cap:
+                        break
+                    if b & h:
+                        out[n * m] = out.get(n * m, 0) | b & h
+            return out.keys(), out.values()
 
-    def grow(ns: dict, column: dict) -> dict:
-        return {x: n for x in ns.keys() & column.keys() if (n := fold(ns[x], column[x])) <= cap}
-
-    # A stack, not a recursive closure, which would be a reference cycle
-    # holding the search state until the next garbage collection. The
-    # empty conjunction holds on every object to degree 1.
-    stack = [((), 0, dict.fromkeys(inside, 1), dict.fromkeys(outside, 1))]
+    # The root, the empty conjunction, holds every object at N = 1. A stack, not a
+    # recursive closure, which would be a reference cycle holding the state until collected.
+    root = (tuple(sizes), (everyone,) * len(sizes)) if kind is TNorm.MIN else ((1,), (everyone,))
+    stack = [((), 0, *root)]
     while stack:
-        prefix, start, ns_in, ns_out = stack.pop()
+        prefix, start, ns, bits = stack.pop()
         for j in range(start, len(levels)):
-            for atom, column_in, column_out in levels[j]:
+            for atom, column in levels[j]:
                 atoms = prefix + (atom,)
-                child_in, child_out = grow(ns_in, column_in), grow(ns_out, column_out)
-                if visit(atoms, child_in, child_out) and j + 1 < len(levels):
-                    stack.append((atoms, j + 1, child_in, child_out))
+                child_ns, child_bits = grow(ns, bits, column)
+                if visit(atoms, child_ns, child_bits) and j + 1 < len(levels):
+                    stack.append((atoms, j + 1, child_ns, child_bits))

@@ -15,6 +15,7 @@ from threeway.fuzzy import format_decimal
 
 COMPLETE6 = str(DATA / "complete6.itab")
 SETVALUED8 = str(DATA / "setvalued8.itab")
+COMPLETE40 = str(DATA / "complete40.itab")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -389,6 +390,34 @@ class TestExitCodes:
         assert out == ""
         assert "decision column 'd' holds no single known value for 7 object(s): " \
             "x2, x3, x4, x6, x7, ..." in err
+
+
+    @pytest.mark.parametrize("command", ["rules", "regions"])
+    def test_class_value_outside_domain_is_1(self, capsys, command):
+        """A value the decision column cannot hold names no class; it used
+        to give an empty class and exit 0 with reject rules only."""
+        code, out, err = run(
+            capsys,
+            command, "--table", COMPLETE40, "--method", "eq-complete",
+            "--class-column", "d", "--class-value", "maybe",
+        )
+        assert code == 1
+        assert out == ""
+        assert "class value 'maybe' is not in the domain of decision column 'd'" in err
+
+    @pytest.mark.parametrize("command", ["rules", "regions"])
+    @pytest.mark.parametrize("names", [["nope"], ["a1", "nope"]])
+    def test_unknown_strip_na_attribute_is_1(self, capsys, command, names):
+        """Each --strip-na-atoms name is checked against the table, with
+        the error that --attrs gives for the same name."""
+        common = (
+            command, "--table", SETVALUED8, "--method", "confidence", "--alpha", "1/2",
+            "--class", "x1,x2",
+        )
+        code, out, err = run(capsys, *common, "--strip-na-atoms", *names)
+        assert (code, out) == (1, "")
+        assert err == run(capsys, *common, "--attrs", "nope")[2] == "error: unknown attribute 'nope'\n"
+        assert run(capsys, *common, "--strip-na-atoms", "a1")[0] == 0
 
 
 class TestEntryPoints:

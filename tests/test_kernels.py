@@ -8,9 +8,11 @@ cells, ``{NA}`` cells and ``*`` cells all occur, and thresholds are drawn
 from 0, 1 and the degrees the table attains, where a comparison is
 exactly on its edge. The two satisfiability builders are also compared
 on wider tables (4 or 5 attributes, up to 12 independent rows), where
-their language search prunes subtrees below depth 2, and the similarity
-builders and matrix on tables of 65-80 mostly distinct rows, where the
-kernel's row bitsets are wider than 64 bits. The language search's
+their language search prunes subtrees below depth 2. The similarity
+builders and matrix, the satisfiability builders and the language
+search's degrees are compared on tables of 65-80 mostly distinct rows,
+where the kernels' bitsets are wider than 64 bits, and edge cases put
+the object under test past the 64th bit. The language search's
 per-formula degrees are compared with the reference profile of every
 formula, and the complete-table language route with reference copies
 that evaluate every formula's meaning set. The indexed class-specific
@@ -61,6 +63,7 @@ from threeway import (
     similarity_matrix,
     to_set_valued,
 )
+from conftest import formula
 from threeway.language import STRICT, cdl_size
 from threeway.satisfiability import strict_degrees
 
@@ -548,6 +551,7 @@ def _assert_strict_degrees_match_profiles(table, attrs, kind):
     for p, ns in got:
         want = {x: d for x, d in sat_profile(table, p, kind).degrees.items() if d}
         assert {x: Fraction(1, n) for x, n in ns.items()} == want, p
+        assert list(ns) == sorted(ns, key=table.position), p
 
 
 @pytest.mark.parametrize("kind", list(TNorm))
@@ -564,6 +568,117 @@ def test_strict_degrees_match_sat_profile(kind, case):
 def test_strict_degrees_match_sat_profile_deep(kind, case):
     table, attrs, _ = case
     _assert_strict_degrees_match_profiles(table, attrs, kind)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@WIDE
+@given(wide_tables())
+def test_strict_degrees_match_sat_profile_wide(kind, case):
+    table, attrs, _ = case
+    _assert_strict_degrees_match_profiles(table, attrs, kind)
+
+
+# --------------------------------------------------------------------------
+# The satisfiability builders on tables of 65-80 objects, where the search's
+# object bitsets run past 64 bits. Alpha is drawn from the degrees 1/N the
+# table attains (alpha-meaning's edges, where N meets the cap b // a), from
+# the confidences of a few drawn formulas, and from COMMON_ALPHAS.
+
+
+def _sample_formulas(draw, table, attrs):
+    language = enumerate_cdl(tuple(map(table.schema, attrs)), STRICT)
+    return draw(st.lists(st.sampled_from(language), min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@WIDE
+@given(wide_tables(), st.data())
+def test_alpha_meaning_matches_reference_wide(kind, case, data):
+    table, attrs, members = case
+    # The degrees are checked against the reference in the test above;
+    # here they only supply the edges.
+    attained = {Fraction(1, n) for _, ns in strict_degrees(table, attrs, kind) for n in ns.values()}
+    alpha = _alpha(data.draw, attained | COMMON_ALPHAS)
+    got = description_regions_alpha_meaning(table, attrs, alpha, members, kind)
+    assert got == reference_alpha_meaning(table, attrs, alpha, members, kind)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@WIDE
+@given(wide_tables(), st.data())
+def test_confidence_matches_reference_wide(kind, case, data):
+    table, attrs, members = case
+    attained = set()
+    for p in _sample_formulas(data.draw, table, attrs):
+        conf = confidence(table, p, members, kind)
+        attained |= {conf.accept, conf.reject}
+    alpha = _alpha(data.draw, attained | COMMON_ALPHAS)
+    got = description_regions_confidence(table, attrs, alpha, members, kind)
+    assert got == reference_confidence(table, attrs, alpha, members, kind)
+
+
+# Edge cases on 70 objects: x1-x69 hold {0} on a1 and a2, and x70, whose
+# bit is past the 64th, holds the given cells. The class is {x70}.
+
+
+def _edge_table(a1, a2):
+    objects = tuple(f"x{j}" for j in range(1, 71))
+    schemas = tuple(AttributeSchema(a, ("0", "1", "2")) for a in ("a1", "a2"))
+    cells = {(x, a): frozenset({"0"}) for x in objects for a in ("a1", "a2")}
+    cells[("x70", "a1")], cells[("x70", "a2")] = frozenset(a1), frozenset(a2)
+    return SetValuedTable(objects, schemas, cells)
+
+
+def _edge_regions(table, alpha, kind):
+    """The alpha-meaning and confidence positive regions for class {x70},
+    each checked against its reference."""
+    attrs, members = ("a1", "a2"), frozenset({"x70"})
+    regions = []
+    for builder, reference in (
+        (description_regions_alpha_meaning, reference_alpha_meaning),
+        (description_regions_confidence, reference_confidence),
+    ):
+        got = builder(table, attrs, alpha, members, kind)
+        assert got == reference(table, attrs, alpha, members, kind)
+        regions.append(got[0])
+    return regions
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+def test_na_cell_drops_its_object_on_that_attribute(kind):
+    table = _edge_table({NA}, "01")
+    x70 = {p: ns["x70"] for p, ns in strict_degrees(table, ("a1", "a2"), kind) if "x70" in ns}
+    assert x70 == {formula("a2=0"): 2, formula("a2=1"): 2}
+    # (a2=1) holds on x70 alone; every formula with an a1 atom holds on
+    # no object of the class.
+    meaning, conf = _edge_regions(table, Fraction(1, 2), kind)
+    assert meaning == conf == {formula("a2=1")}
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+def test_alpha_at_one_over_n_keeps_the_object(kind):
+    """x70 satisfies (a1=1), (a1=2) and each (a1=v)&(a2=1) to degree
+    exactly 1/3 under either T-norm, and (a2=1) to degree 1."""
+    table = _edge_table("012", "1")
+    third = {formula("a1=1"), formula("a1=2")} | {formula(f"a1={v}&a2=1") for v in "012"}
+    assert _edge_regions(table, Fraction(1, 3), kind) == [third | {formula("a2=1")}] * 2
+    above = Fraction(1, 3) + Fraction(1, 10**9)
+    assert _edge_regions(table, above, kind) == [{formula("a2=1")}] * 2
+
+
+def test_product_above_the_cap_drops_the_object():
+    """x70 satisfies (a1=1), (a2=1) and (a2=2) to degree 1/2, and each
+    (a1=u)&(a2=v) with u in {0, 1} and v in {1, 2} to degree 1/2 under MIN
+    and 1/4 under PRODUCT."""
+    table = _edge_table("01", "12")
+    atoms = {formula("a1=1"), formula("a2=1"), formula("a2=2")}
+    pairs = {formula(f"a1={u}&a2={v}") for u in "01" for v in "12"}
+    for kind, n in ((TNorm.MIN, 2), (TNorm.PRODUCT, 4)):
+        degrees = dict(strict_degrees(table, ("a1", "a2"), kind))
+        assert [degrees[p] for p in pairs] == [{"x70": n}] * 4
+    assert _edge_regions(table, Fraction(1, 3), TNorm.MIN) == [atoms | pairs] * 2
+    assert _edge_regions(table, Fraction(1, 3), TNorm.PRODUCT) == [atoms] * 2
+    assert _edge_regions(table, Fraction(1, 4), TNorm.PRODUCT) == [atoms | pairs] * 2
 
 
 @DIFFERENTIAL

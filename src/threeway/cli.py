@@ -129,7 +129,6 @@ def _add_method_options(p: argparse.ArgumentParser) -> None:
         metavar="ATTR",
         help=f"drop ({NA}) atoms from emitted rules; no argument strips every attribute",
     )
-    p.add_argument("--max-worlds", type=_cap, default=DEFAULT_MAX_WORLDS)
     p.add_argument("--max-formulas", type=_cap, default=DEFAULT_MAX_FORMULAS)
 
 
@@ -173,8 +172,8 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
     if args.class_ids and args.class_column:
         raise ValueError("use either --class or --class-column, not both")
     if args.class_ids:
-        ids = _split_csv(args.class_ids)
-        return st.class_set(ids), ",".join(sorted(ids, key=st.position)), None
+        members = st.class_set(_split_csv(args.class_ids))
+        return members, ",".join(sorted(members, key=st.position)), None
     if args.class_column:
         if args.class_value is None:
             raise ValueError("--class-column requires --class-value")

@@ -66,6 +66,19 @@ def _require_complete(t: SetValuedTable) -> None:
         raise IncompleteTableError("operation requires a complete table")
 
 
+def _split(t: SetValuedTable, members: frozenset[str], items: Iterable, objects_of=lambda y: y) -> tuple[frozenset, ...]:
+    """POS, NEG and BND of ``items``: those whose object set lies inside the
+    class ``members``, inside its complement, or neither. Items with the
+    empty set are dropped."""
+    complement = frozenset(t.objects) - members
+    groups = (set(), set(), set())
+    for item in items:
+        y = objects_of(item)
+        if y:
+            groups[0 if y <= members else 1 if y <= complement else 2].add(item)
+    return tuple(map(frozenset, groups))
+
+
 def partition(t: SetValuedTable, attrs: Sequence[str]) -> Partition:
     """Group objects that agree on every attribute of ``attrs``.
 
@@ -73,7 +86,7 @@ def partition(t: SetValuedTable, attrs: Sequence[str]) -> Partition:
     universe (all objects vacuously agree).
     """
     _require_complete(t)
-    attrs = t.attr_subset(attrs)
+    attrs = t.attr_subset(attrs) if attrs else ()
     # Equal cells of a column share one code.
     keys = zip(*(t.column(a)[1] for a in attrs)) if attrs else itertools.repeat(())
     keyed: dict[tuple[int, ...], list[str]] = {}
@@ -88,16 +101,7 @@ def regions_computational(
 ) -> StructuredRegions:
     """Split the partition blocks by inclusion in the class or its complement."""
     members = t.class_set(x_set)
-    complement = frozenset(t.objects) - members
-    pos, neg, bnd = set(), set(), set()
-    for block in partition(t, attrs).blocks:
-        if block <= members:
-            pos.add(block)
-        elif block <= complement:
-            neg.add(block)
-        else:
-            bnd.add(block)
-    return StructuredRegions(frozenset(pos), frozenset(neg), frozenset(bnd))
+    return StructuredRegions(*_split(t, members, partition(t, attrs).blocks))
 
 
 def cdef_family(
@@ -123,16 +127,8 @@ def regions_conceptual(
 ) -> tuple[frozenset[DescribedSet], frozenset[DescribedSet]]:
     """Nonempty definable sets included in the class / in its complement."""
     members = t.class_set(x_set)
-    complement = frozenset(t.objects) - members
-    pos, neg = set(), set()
-    for ds in cdef_family(t, attrs, max_formulas):
-        if not ds.members:
-            continue
-        if ds.members <= members:
-            pos.add(ds)
-        elif ds.members <= complement:
-            neg.add(ds)
-    return frozenset(pos), frozenset(neg)
+    pos, neg, _ = _split(t, members, cdef_family(t, attrs, max_formulas), lambda ds: ds.members)
+    return pos, neg
 
 
 def boolean_algebra(
@@ -168,19 +164,8 @@ def regions_general(
     complement within the family, never computed independently.
     """
     members = t.class_set(x_set)
-    complement = frozenset(t.objects) - members
     definable = boolean_algebra(partition(t, attrs).blocks, max_subsets)
-    pos, neg, bnd = set(), set(), set()
-    for y in definable:
-        if not y:
-            continue
-        if y <= members:
-            pos.add(y)
-        elif y <= complement:
-            neg.add(y)
-        else:
-            bnd.add(y)
-    return StructuredRegions(frozenset(pos), frozenset(neg), frozenset(bnd))
+    return StructuredRegions(*_split(t, members, definable))
 
 
 def description_regions_complete(

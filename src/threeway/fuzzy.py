@@ -58,9 +58,21 @@ def parse_degree(text: str) -> Fraction:
         degree = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse degree from {text!r}") from exc
-    if not ZERO <= degree <= ONE:
-        raise ValueError(f"degree {degree} outside [0, 1]")
-    return degree
+    return as_degree(degree)
+
+
+def degree_terms(value: RationalLike) -> tuple[int, int]:
+    """Numerator and denominator of the degree ``value``, checked as by
+    :func:`as_degree`, for threshold tests by cross-multiplying."""
+    degree = as_degree(value)
+    return degree.numerator, degree.denominator
+
+
+def check_kind(kind: TNorm) -> TNorm:
+    """``kind`` itself, if it selects an operator family."""
+    if not isinstance(kind, TNorm):
+        raise ValueError(f"unknown T-norm kind {kind!r}")
+    return kind
 
 
 def tnorm(kind: TNorm, values: Iterable[RationalLike]) -> Fraction:
@@ -72,11 +84,9 @@ def tnorm(kind: TNorm, values: Iterable[RationalLike]) -> Fraction:
     degrees = [as_degree(v) for v in values]
     if not degrees:
         raise ValueError("tnorm requires at least one degree")
-    if kind is TNorm.MIN:
+    if check_kind(kind) is TNorm.MIN:
         return min(degrees)
-    if kind is TNorm.PRODUCT:
-        return math.prod(degrees, start=ONE)
-    raise ValueError(f"unknown T-norm kind {kind!r}")
+    return math.prod(degrees, start=ONE)
 
 
 def implication(kind: TNorm, u1: RationalLike, u2: RationalLike) -> Fraction:
@@ -84,11 +94,9 @@ def implication(kind: TNorm, u1: RationalLike, u2: RationalLike) -> Fraction:
     Reichenbach for ``PRODUCT``."""
     a = as_degree(u1)
     b = as_degree(u2)
-    if kind is TNorm.MIN:
+    if check_kind(kind) is TNorm.MIN:
         return max(ONE - a, b)
-    if kind is TNorm.PRODUCT:
-        return ONE - a + a * b
-    raise ValueError(f"unknown T-norm kind {kind!r}")
+    return ONE - a + a * b
 
 
 def negate(u: RationalLike) -> Fraction:
@@ -101,19 +109,13 @@ def format_exact(value: RationalLike) -> str:
     return str(Fraction(value))
 
 
-def format_decimal(value: RationalLike, places: int = 3) -> str:
-    """Render a degree as a fixed-point decimal, rounding half up.
+def format_decimal(value: RationalLike) -> str:
+    """Render a degree as a decimal with three places, rounding half up.
 
     Display only; comparisons in this package are always exact.
     """
-    if places < 0:
-        raise ValueError("places must be nonnegative")
-    degree = Fraction(value)
-    scale = 10**places
-    units, remainder = divmod(degree * scale, 1)
+    units, remainder = divmod(Fraction(value) * 1000, 1)
     if remainder >= Fraction(1, 2):
         units += 1
-    whole, frac = divmod(int(units), scale)
-    if places == 0:
-        return str(whole)
-    return f"{whole}.{frac:0{places}d}"
+    whole, frac = divmod(int(units), 1000)
+    return f"{whole}.{frac:03d}"

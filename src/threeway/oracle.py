@@ -58,8 +58,6 @@ def oracle_similarity(
     Applies to distinct objects only; self-similarity is definitional.
     """
     attrs = _normalized_attrs(st, attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
     if x == y:
         raise ValueError("joint-world similarity is defined for distinct objects only")
     cells_x = [sorted(st.cell(x, a)) for a in attrs]
@@ -162,8 +160,6 @@ def oracle_closure_equality(
     """Compare the union closures of the partition blocks and of the
     conjunctively definable family; they must be the same set family."""
     attrs = _normalized_attrs(st, attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
     from_blocks = _union_closure(_partition_blocks(st, attrs), max_sets)
     from_formulas = _union_closure(_conjunctive_sets(st, attrs), max_sets)
     return OracleReport(
@@ -185,8 +181,6 @@ def oracle_classical_reduction(
     similarity-route description regions must equal the descriptions of
     the included blocks."""
     attrs = _normalized_attrs(st, attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
     threshold = as_degree(alpha)
     if threshold == 0:
         raise ValueError("classical reduction holds for thresholds in (0, 1] only")

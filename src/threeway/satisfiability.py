@@ -34,7 +34,7 @@ from itertools import accumulate, compress, repeat
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .fuzzy import ONE, ZERO, TNorm, as_degree, implication, negate, tnorm
+from .fuzzy import ONE, ZERO, TNorm, as_degree, check_kind, degree_terms, implication, negate, tnorm
 from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, check_cdl_size, formula_sort_key_for
 from .similarity import _bits
 from .table import NA, SetValuedTable
@@ -129,8 +129,7 @@ def description_regions_alpha_meaning(
     members = st.class_set(x_set)
     attrs = st.attr_subset(attrs)
     check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
-    threshold = as_degree(alpha)
-    a, b = threshold.numerator, threshold.denominator
+    a, b = degree_terms(alpha)
     # Alpha 0 is met by every object on every formula. Any other alpha is
     # met by the objects of degree 1/N with N <= b/a, the only ones the
     # search keeps; their set only shrinks down the tree, so a subtree
@@ -221,10 +220,9 @@ def description_regions_confidence(
     """Formulas whose acceptance (resp. rejection) confidence passes the
     threshold. Overlap is possible and resolved at rule derivation."""
     members = st.class_set(x_set)
-    threshold = as_degree(alpha)
     attrs = st.attr_subset(attrs)
     check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
-    a, b = threshold.numerator, threshold.denominator
+    a, b = degree_terms(alpha)
     # The closed forms of :func:`confidence_closed` on degrees 1/N, compared
     # with alpha = a/b by cross-multiplying. accept is at most the class
     # side's bound, max D under MIN and 1 - prod (1 - D) under PRODUCT,
@@ -293,8 +291,7 @@ def _search(
     ladder over the cell sizes, ascending, so a child's levels are its
     parent's ANDed with its atom's; under PRODUCT, those with N = ns[k].
     """
-    if kind not in (TNorm.MIN, TNorm.PRODUCT):
-        raise ValueError(f"unknown T-norm kind {kind!r}")
+    check_kind(kind)
     cap = min(cap, math.prod(len(st.schema(a).domain) for a in attrs))  # an int from here
     sizes = sorted({len(c) for a in attrs for c in st.column(a)[0] if len(c) <= cap})
     # Per attribute, per value: an atom and its column ({NA} holds no value).

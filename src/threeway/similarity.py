@@ -34,7 +34,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, UnknownIdError
-from .fuzzy import ONE, TNorm, as_degree, implication, tnorm
+from .fuzzy import ONE, TNorm, as_degree, check_kind, degree_terms, implication, tnorm
 from .language import DEFAULT_MAX_FORMULAS, Atom, Formula
 from .table import NA, SetValuedTable
 
@@ -79,8 +79,6 @@ def similarity_single(st: SetValuedTable, a: str, x: str, y: str) -> Fraction:
 def similarity(st: SetValuedTable, attrs: Sequence[str], kind: TNorm, x: str, y: str) -> Fraction:
     """Similarity degree over an attribute subset, folded with ``kind``."""
     attrs = st.attr_subset(attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
     st.check_objects(x, y)
     if x == y:
         return ONE
@@ -90,8 +88,8 @@ def similarity(st: SetValuedTable, attrs: Sequence[str], kind: TNorm, x: str, y:
 def similarity_matrix(st: SetValuedTable, attrs: Sequence[str], kind: TNorm) -> SimilarityMatrix:
     """Full symmetric matrix of pairwise degrees, expanded from the degrees
     between distinct rows, which fold the kernel's cell-pair degrees."""
-    attrs = _checked_attrs(st, attrs)
-    _check_kind(kind)
+    attrs = st.attr_subset(attrs)
+    check_kind(kind)
     rows = _Rows(st, attrs, frozenset())
     if kind is TNorm.MIN:
         # Each cell pair's degree as its rank among all cell-pair degrees.
@@ -136,7 +134,7 @@ def cdes(
 ) -> frozenset[Formula]:
     """Conjunctive descriptions of an object: one formula per choice of a
     cell token for each attribute, ``NA`` admitted as an atom value."""
-    attrs = _checked_attrs(st, attrs)
+    attrs = st.attr_subset(attrs)
     return frozenset(_describer(st, attrs)(st.position(x), max_formulas))
 
 
@@ -155,9 +153,9 @@ def description_regions_alpha_sim(
     derivation, not here.
     """
     members = st.class_set(x_set)
-    attrs = _checked_attrs(st, attrs)
-    a, b = _ratio(alpha)
-    _check_kind(kind)
+    attrs = st.attr_subset(attrs)
+    a, b = degree_terms(alpha)
+    check_kind(kind)
     rows = _Rows(st, attrs, members)
     # Under min these are the alpha-similar rows; a product is at most the
     # minimum of its factors, so under prod only they can be.
@@ -243,9 +241,9 @@ def description_regions_approx(
     """Union of object descriptions over objects passing the positive
     (resp. negative) approximability threshold."""
     members = st.class_set(x_set)
-    a, b = _ratio(alpha)
-    attrs = _checked_attrs(st, attrs)
-    _check_kind(kind)
+    attrs = st.attr_subset(attrs)
+    a, b = degree_terms(alpha)
+    check_kind(kind)
     rows = _Rows(st, attrs, members)
     # Under min, 1 - G >= alpha fails exactly where G > 1 - alpha; under
     # prod, only rows of degree above 0 bring the product below 1.
@@ -280,23 +278,6 @@ def description_regions_approx(
 # Kernel. Objects with the same row on ``attrs`` have the same degree to
 # every other object, so they merge into distinct rows; bitsets of rows are
 # Python ints, and thresholds are compared by cross-multiplying.
-
-
-def _checked_attrs(st: SetValuedTable, attrs: Sequence[str]) -> tuple[str, ...]:
-    attrs = st.attr_subset(attrs)
-    if not attrs:
-        raise ValueError("attribute subset must be nonempty")
-    return attrs
-
-
-def _ratio(alpha) -> tuple[int, int]:
-    threshold = as_degree(alpha)
-    return threshold.numerator, threshold.denominator
-
-
-def _check_kind(kind: TNorm) -> None:
-    if not isinstance(kind, TNorm):
-        raise ValueError(f"unknown T-norm kind {kind!r}")
 
 
 def _bits(mask: int) -> Iterator[int]:

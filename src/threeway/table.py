@@ -217,8 +217,10 @@ class _Grid:
 
     def attr_subset(self, attrs: Iterable[str]) -> tuple[str, ...]:
         """The named attributes in declaration order, which keeps formula
-        atom order canonical everywhere."""
+        atom order canonical everywhere. The subset must be nonempty."""
         attrs = tuple(attrs)
+        if not attrs:
+            raise ValueError("attribute subset must be nonempty")
         wanted = set(attrs)
         if len(wanted) != len(attrs):
             raise ValueError("duplicate attributes in subset")

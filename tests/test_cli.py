@@ -194,6 +194,14 @@ class TestRulesCommand:
         assert data["alpha"] == "4/5"
         assert data["default"] == "non-commit"
 
+    def test_repeated_class_id_is_labelled_once(self, capsys):
+        argv = ["rules", "--table", SETVALUED8, "--method", "confidence", "--tnorm", "min",
+                "--alpha", "1/2", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--class", "x2,x1,x1")
+        assert code == 0
+        assert json.loads(out)["class"] == "x1,x2"
+        assert run(capsys, *argv, "--class", "x1,x2") == (0, out, "")
+
     def test_class_column_form(self, capsys):
         code, out, _ = run(
             capsys,
@@ -351,9 +359,7 @@ class TestExitCodes:
         "command,flag",
         [
             ("regions", "--max-formulas"),
-            ("regions", "--max-worlds"),
             ("rules", "--max-formulas"),
-            ("rules", "--max-worlds"),
             ("satisfiability", "--max-formulas"),
             ("oracle-check", "--max-worlds"),
         ],
@@ -366,6 +372,15 @@ class TestExitCodes:
         assert out == ""
         assert "usage:" in err
         assert f"argument {flag}: must be nonnegative, got -1" in err
+
+    @pytest.mark.parametrize("command", ["regions", "rules"])
+    def test_max_worlds_belongs_to_oracle_check(self, capsys, command):
+        method = ("--method", "alpha-meaning", "--alpha", "1/2", "--class", "x1")
+        code, out, err = run(capsys, command, "--table", SETVALUED8, *method, "--max-worlds", "5")
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err
+        assert "unrecognized arguments: --max-worlds 5" in err
 
     def test_zero_cap_is_accepted(self, capsys):
         code, _, err = run(

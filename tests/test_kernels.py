@@ -516,17 +516,20 @@ def test_description_guard_fires_only_in_a_region(kind, builder, in_region, in_n
 
 
 @pytest.mark.parametrize(
-    "builder",
+    "call",
     [
-        description_regions_alpha_sim,
-        description_regions_approx,
-        description_regions_alpha_meaning,
-        description_regions_confidence,
+        lambda t, kind: description_regions_alpha_sim(t, ("a1", "a2"), Fraction(1, 2), {"x1"}, kind),
+        lambda t, kind: description_regions_approx(t, ("a1", "a2"), Fraction(1, 2), {"x1"}, kind),
+        lambda t, kind: description_regions_alpha_meaning(t, ("a1", "a2"), Fraction(1, 2), {"x1"}, kind),
+        lambda t, kind: description_regions_confidence(t, ("a1", "a2"), Fraction(1, 2), {"x1"}, kind),
+        lambda t, kind: similarity_matrix(t, ("a1", "a2"), kind),
+        lambda t, kind: strict_degrees(t, ("a1", "a2"), kind),
     ],
+    ids=["alpha_sim", "approx", "alpha_meaning", "confidence", "similarity_matrix", "strict_degrees"],
 )
-def test_builders_reject_unknown_kind(setvalued8, builder):
+def test_kernels_reject_unknown_kind(setvalued8, call):
     with pytest.raises(ValueError, match="unknown T-norm"):
-        builder(setvalued8, ("a1", "a2"), Fraction(1, 2), {"x1"}, "min")
+        call(setvalued8, "min")
 
 
 @pytest.mark.parametrize("builder", [description_regions_alpha_meaning, description_regions_confidence])

@@ -27,7 +27,7 @@ from .language import (
     write_json,
 )
 from .oracle import OracleReport, run_all_checks
-from .rules import Provenance, RuleSet, _payload, derive_rules
+from .rules import Provenance, _payload, derive_rules
 from .rules import render as render_rules
 from .satisfiability import (
     description_regions_alpha_meaning,
@@ -171,12 +171,14 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
     """Returns (class set, printable label, excluded decision column)."""
     if args.class_ids and args.class_column:
         raise ValueError("use either --class or --class-column, not both")
+    if args.class_column and args.class_value is None:
+        raise ValueError("--class-column requires --class-value")
+    if args.class_value is not None and not args.class_column:
+        raise ValueError("--class-value requires --class-column")
     if args.class_ids:
         members = st.class_set(_split_csv(args.class_ids))
         return members, ",".join(sorted(members, key=st.position)), None
     if args.class_column:
-        if args.class_value is None:
-            raise ValueError("--class-column requires --class-value")
         column = args.class_column
         cells, codes = st.column(column)
         if args.class_value not in st.schema(column).domain:
@@ -225,11 +227,6 @@ def _emit_json(args, payload) -> None:
         write_json(payload, write)
 
 
-def _require_complete(st: SetValuedTable, method: str) -> None:
-    if not is_complete(st):
-        raise ValueError(f"method {method} requires a complete table")
-
-
 def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
     """The formula describing each block of the positive and negative
     regions: on a complete table an object's only description is its row."""
@@ -238,27 +235,7 @@ def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]
     return tuple({p for b in blocks for p in describe(st.position(next(iter(b))))} for blocks in sides)
 
 
-def _description_regions(st, method, attrs, members, kind, alpha, args):
-    if method in COMPLETE_METHODS:
-        _require_complete(st, method)
-    if method == "eq-complete":
-        return _block_descriptions(st, attrs, regions_computational(st, attrs, members))
-    if method == "cdl-complete":
-        return description_regions_complete(st, attrs, members, args.max_formulas)
-    if method == "alpha-sim":
-        return description_regions_alpha_sim(st, attrs, alpha, members, kind, args.max_formulas)
-    if method == "approx":
-        return description_regions_approx(st, attrs, alpha, members, kind, args.max_formulas)
-    if method == "alpha-meaning":
-        return description_regions_alpha_meaning(st, attrs, alpha, members, kind, args.max_formulas)
-    if method == "confidence":
-        return description_regions_confidence(st, attrs, alpha, members, kind, args.max_formulas)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _strip_na_atoms(formulas, strip: list[str] | None, attrs) -> frozenset[Formula]:
-    if strip is None:
-        return frozenset(formulas)
+def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
     targets = set(attrs) if strip == [] else set(strip)
     out = set()
     for p in formulas:
@@ -268,8 +245,35 @@ def _strip_na_atoms(formulas, strip: list[str] | None, attrs) -> frozenset[Formu
     return frozenset(out)
 
 
-def _sorted_formulas(formulas, schemas) -> list[Formula]:
-    return sorted(formulas, key=formula_sort_key_for(schemas))
+def _method_regions(args):
+    """The part of a ``rules`` or ``regions`` run that every method shares.
+
+    Returns the table, the formula sort key, eq-complete's structured
+    regions (None for the other methods), the method's (DPOS, DNEG) with
+    the ``--strip-na-atoms`` atoms dropped, and the rules' provenance.
+    """
+    method = args.method
+    st = _load_table(args)
+    members, label, excluded = _resolve_class(args, st)
+    attrs = _resolve_attrs(args, st, exclude=excluded)
+    list(map(st.schema, args.strip_na_atoms or ()))  # unknown names fail as --attrs does
+    kind, alpha = _resolve_kind_alpha(args, method)
+    if method in COMPLETE_METHODS and not is_complete(st):
+        raise ValueError(f"method {method} requires a complete table")
+    structured = None
+    if method == "eq-complete":
+        structured = regions_computational(st, attrs, members)
+        dpos, dneg = _block_descriptions(st, attrs, structured)
+    elif method == "cdl-complete":
+        dpos, dneg = description_regions_complete(st, attrs, members, args.max_formulas)
+    else:
+        # Looked up per run, so that a replaced module attribute is the one called.
+        build = globals()["description_regions_" + method.replace("-", "_")]
+        dpos, dneg = build(st, attrs, alpha, members, kind, args.max_formulas)
+    if args.strip_na_atoms is not None:
+        dpos, dneg = (_strip_na_atoms(d, args.strip_na_atoms, attrs) for d in (dpos, dneg))
+    provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
+    return st, formula_sort_key_for(tuple(map(st.schema, attrs))), structured, dpos, dneg, provenance
 
 
 def _block_lists(st, blocks) -> list[list[str]]:
@@ -277,58 +281,27 @@ def _block_lists(st, blocks) -> list[list[str]]:
     return sorted(ordered, key=lambda block: st.position(block[0]))
 
 
-def _derive(args, schemas, dpos, dneg, label, kind, alpha) -> RuleSet:
-    provenance = Provenance(
-        method=args.method,
-        tnorm=None if args.method in COMPLETE_METHODS else kind.value,
-        alpha=alpha,
-        class_label=label,
-    )
-    return derive_rules(dpos, dneg, provenance, sort_key=formula_sort_key_for(schemas))
-
-
-def _setup(args):
-    """Table, class and settings shared by ``rules`` and ``regions``."""
-    st = _load_table(args)
-    members, label, excluded = _resolve_class(args, st)
-    attrs = _resolve_attrs(args, st, exclude=excluded)
-    list(map(st.schema, args.strip_na_atoms or ()))  # unknown names fail as --attrs does
-    kind, alpha = _resolve_kind_alpha(args, args.method)
-    return st, members, label, attrs, kind, alpha
-
-
 def _cmd_regions(args) -> int:
-    st, members, label, attrs, kind, alpha = _setup(args)
-    schemas = tuple(map(st.schema, attrs))
-    if args.method == "eq-complete":
-        _require_complete(st, args.method)
-        regions = regions_computational(st, attrs, members)
-        payload = {name: _block_lists(st, getattr(regions, name)) for name in ("pos", "neg", "bnd")}
+    st, key, structured, dpos, dneg, provenance = _method_regions(args)
+    if structured is not None:
+        payload = {name: _block_lists(st, getattr(structured, name)) for name in ("pos", "neg", "bnd")}
         lines = [f"{name} {{{','.join(block)}}}" for name, blocks in payload.items() for block in blocks]
-        # A complete table holds no NA, so there are no atoms to strip.
-        dpos, dneg = _block_descriptions(st, attrs, regions)
     else:
-        dpos, dneg = _description_regions(st, args.method, attrs, members, kind, alpha, args)
-        dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
-        dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
-        pos, neg = _sorted_formulas(dpos, schemas), _sorted_formulas(dneg, schemas)
+        pos, neg = sorted(dpos, key=key), sorted(dneg, key=key)
         payload = {"dpos": pos, "dneg": neg}
         lines = [f"DPOS {render_formula(p)}" for p in pos] + [f"DNEG {render_formula(p)}" for p in neg]
     if args.format == "json":
         _emit_json(args, payload)
         return 0
-    ruleset = _derive(args, schemas, dpos, dneg, label, kind, alpha)
+    ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     lines.append(render_rules(ruleset, "text").rstrip("\n"))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_rules(args) -> int:
-    st, members, label, attrs, kind, alpha = _setup(args)
-    dpos, dneg = _description_regions(st, args.method, attrs, members, kind, alpha, args)
-    dpos = _strip_na_atoms(dpos, args.strip_na_atoms, attrs)
-    dneg = _strip_na_atoms(dneg, args.strip_na_atoms, attrs)
-    ruleset = _derive(args, tuple(map(st.schema, attrs)), dpos, dneg, label, kind, alpha)
+    _, key, _, dpos, dneg, provenance = _method_regions(args)
+    ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     if args.format == "json":
         _emit_json(args, _payload(ruleset))
     else:

@@ -179,12 +179,13 @@ def oracle_classical_reduction(
     """On a complete table, thresholded similarity classes must coincide
     with equivalence classes for any positive threshold, and the
     similarity-route description regions must equal the descriptions of
-    the included blocks."""
+    the included blocks. The class is checked first, then the attributes,
+    then the threshold, as in the region builders."""
+    members = st.class_set(x_set)
     attrs = _normalized_attrs(st, attrs)
     threshold = as_degree(alpha)
     if threshold == 0:
         raise ValueError("classical reduction holds for thresholds in (0, 1] only")
-    members = st.class_set(x_set)
     complement = frozenset(st.objects) - members
     blocks = _partition_blocks(st, attrs)
     block_of = {obj: block for block in blocks for obj in block}

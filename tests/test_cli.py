@@ -421,6 +421,42 @@ class TestExitCodes:
         assert "class value 'maybe' is not in the domain of decision column 'd'" in err
 
     @pytest.mark.parametrize("command", ["rules", "regions"])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--class", "x1", "--max-formulas", "ten"), "argument --max-formulas: invalid int value: 'ten'"),
+            (("--class", "x1", "--attrs", " , "), "error: empty comma-separated list"),
+            (
+                ("--class-column", "d", "--class-value", "yes", "--attrs", "a1,d"),
+                "error: decision column 'd' cannot be a condition attribute",
+            ),
+            (("--class", "x1", "--class-column", "d"), "error: use either --class or --class-column, not both"),
+            (("--class-column", "d"), "error: --class-column requires --class-value"),
+            (("--class-value", "yes"), "error: --class-value requires --class-column"),
+            (("--class", "x1", "--class-value", "yes"), "error: --class-value requires --class-column"),
+            ((), "error: a class is required: pass --class or --class-column/--class-value"),
+        ],
+        ids=[
+            "non-integer-cap", "empty-attrs", "decision-column-in-attrs", "class-and-class-column",
+            "class-column-alone", "class-value-alone", "class-and-class-value", "no-class",
+        ],
+    )
+    def test_configuration_error_is_1(self, capsys, command, argv, message):
+        code, out, err = run(capsys, command, "--table", COMPLETE40, "--method", "eq-complete", *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["rules", "regions"])
+    def test_no_condition_attribute_left_is_1(self, capsys, tmp_path, command):
+        table = tmp_path / "decision_only.itab"
+        table.write_text("@attributes d\n@domain d yes no\n@objects\nx1 yes\nx2 no\n")
+        code, out, err = run(
+            capsys, command, "--table", str(table), "--method", "eq-complete",
+            "--class-column", "d", "--class-value", "yes",
+        )
+        assert (code, out, err) == (1, "", "error: no condition attributes left\n")
+
+    @pytest.mark.parametrize("command", ["rules", "regions"])
     @pytest.mark.parametrize("names", [["nope"], ["a1", "nope"]])
     def test_unknown_strip_na_attribute_is_1(self, capsys, command, names):
         """Each --strip-na-atoms name is checked against the table, with
@@ -491,23 +527,36 @@ class TestDeterminism:
         assert json.dumps(data, indent=2) + "\n" == out
 
 
+BUILDERS = (
+    "regions_computational",
+    "description_regions_complete",
+    "description_regions_alpha_sim",
+    "description_regions_approx",
+    "description_regions_alpha_meaning",
+    "description_regions_confidence",
+)
+
+
 class TestRegionBuilderCalls:
+    @pytest.mark.parametrize("command", ["regions", "rules"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
         "builder,argv",
         [
             ("description_regions_alpha_sim", ("--table", SETVALUED8, "--method", "alpha-sim", "--alpha", "0.3")),
+            ("description_regions_alpha_meaning", ("--table", SETVALUED8, "--method", "alpha-meaning", "--alpha", "0.5")),
             ("regions_computational", ("--table", COMPLETE6, "--method", "eq-complete")),
+            ("description_regions_complete", ("--table", COMPLETE6, "--method", "cdl-complete")),
         ],
     )
-    def test_text_regions_build_regions_once(self, capsys, monkeypatch, builder, argv):
-        original = getattr(threeway.cli, builder)
+    def test_each_run_builds_regions_once(self, capsys, monkeypatch, command, fmt, builder, argv):
         calls = []
+        for name in BUILDERS:
+            def counted(*args, _name=name, _original=getattr(threeway.cli, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(threeway.cli, builder, counted)
-        code, _, _ = run(capsys, "regions", *argv, "--class", "x1,x2,x3,x4")
+            monkeypatch.setattr(threeway.cli, name, counted)
+        code, _, _ = run(capsys, command, *argv, "--class", "x1,x2,x3,x4", "--format", fmt)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [builder]

@@ -4,7 +4,7 @@ repeated attribute or an empty subset raises ValueError, each before any
 work starts. ``partition`` alone reads the empty subset as the one-block
 partition. The region builders check their inputs in one order: class,
 attributes, language-size guard (satisfiability route), threshold,
-T-norm."""
+T-norm; ``oracle_classical_reduction`` checks class, attributes, threshold."""
 
 from __future__ import annotations
 
@@ -191,6 +191,7 @@ ORDERED_FLAWS = {
     "attributes": ({"attrs": ()}, ValueError, "attribute subset must be nonempty"),
     "guard": ({"max_formulas": 0}, GuardExceededError, "exceed the cap of 0"),
     "threshold": ({"alpha": Fraction(3, 2)}, ValueError, "outside"),
+    "zero threshold": ({"alpha": 0}, ValueError, r"thresholds in \(0, 1\] only"),
     "kind": ({"kind": "min"}, ValueError, "unknown T-norm kind"),
 }
 BUILDERS = {
@@ -198,12 +199,15 @@ BUILDERS = {
     description_regions_approx: ("class", "attributes", "threshold", "kind"),
     description_regions_alpha_meaning: ("class", "attributes", "guard", "threshold", "kind"),
     description_regions_confidence: ("class", "attributes", "guard", "threshold", "kind"),
+    # The oracle takes no T-norm; its inputs are checked in the builders' order.
+    oracle_classical_reduction: ("class", "attributes", "threshold", "zero threshold"),
 }
 ORDER_CASES = [
     (builder, first, later)
     for builder, order in BUILDERS.items()
     for i, first in enumerate(order)
     for later in order[i + 1 :]
+    if ORDERED_FLAWS[first][0].keys() != ORDERED_FLAWS[later][0].keys()
 ]
 
 
@@ -212,11 +216,14 @@ ORDER_CASES = [
     ORDER_CASES,
     ids=[f"{b.__name__}-{f}-before-{l}" for b, f, l in ORDER_CASES],
 )
-def test_builders_check_inputs_in_order(setvalued8, builder, first, later):
+def test_builders_check_inputs_in_order(request, builder, first, later):
     """With two flawed inputs, the one checked first is reported."""
-    args = {"attrs": ("a1", "a2"), "alpha": ALPHA, "x_set": ("x1", "x3"), "kind": MIN}
+    args = {"attrs": ("a1", "a2"), "alpha": ALPHA, "x_set": ("x1", "x3")}
+    if "kind" in BUILDERS[builder]:
+        args["kind"] = MIN
     args.update(ORDERED_FLAWS[later][0])
     args.update(ORDERED_FLAWS[first][0])
     _, error, message = ORDERED_FLAWS[first]
+    table = request.getfixturevalue("complete6" if builder is oracle_classical_reduction else "setvalued8")
     with pytest.raises(error, match=message):
-        builder(setvalued8, **args)
+        builder(table, **args)

@@ -22,6 +22,7 @@ from .fuzzy import TNorm, format_decimal, format_exact, parse_degree
 from .language import (
     DEFAULT_MAX_FORMULAS,
     Formula,
+    _formula,
     formula_sort_key_for,
     render_formula,
     write_json,
@@ -240,8 +241,8 @@ def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
     out = set()
     for p in formulas:
         kept = tuple(a for a in p.atoms if not (a.value == NA and a.attr in targets))
-        if kept:
-            out.add(Formula(kept))
+        if kept:  # a nonempty subset of a formula's atoms is a formula
+            out.add(_formula((kept,)))
     return frozenset(out)
 
 

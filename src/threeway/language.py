@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
 from .table import NA, AttributeSchema, SetValuedTable, is_complete
@@ -32,33 +33,50 @@ EXTENDED = "extended"
 _MODES = (STRICT, EXTENDED)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One attribute-value pair."""
 
     attr: str
     value: str
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Conjunction of atoms over pairwise-distinct attributes."""
+class Formula(tuple):
+    """Conjunction of atoms over pairwise-distinct attributes.
 
-    atoms: tuple[Atom, ...]
+    A one-item tuple ``(atoms,)``, so that hashing, equality and the
+    unchecked construction by :data:`_formula` run in C."""
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    __slots__ = ()
+
+    def __new__(cls, atoms: Iterable[Atom]) -> Formula:
+        atoms = tuple(atoms)
+        if not atoms:
             raise ValueError("formula needs at least one atom")
-        attrs = [atom.attr for atom in self.atoms]
+        attrs = [atom.attr for atom in atoms]
         if len(set(attrs)) != len(attrs):
             raise ValueError(f"formula repeats an attribute: {attrs}")
+        return tuple.__new__(cls, (atoms,))
+
+    #: The atoms, in attribute-declaration order.
+    atoms = property(itemgetter(0))
 
     @property
     def attrs(self) -> tuple[str, ...]:
-        return tuple(atom.attr for atom in self.atoms)
+        return tuple(attr for attr, _ in self[0])
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0],)
+
+    def __repr__(self) -> str:
+        return f"Formula(atoms={self[0]!r})"
 
     def __str__(self) -> str:
         return render_formula(self)
+
+
+#: ``_formula((atoms,))`` is the formula of ``atoms`` without the checks of
+#: :class:`Formula`, for atoms that are valid by construction.
+_formula = partial(tuple.__new__, Formula)
 
 
 def make_formula(atoms: Iterable[Atom], attr_order: Sequence[str]) -> Formula:
@@ -150,14 +168,14 @@ def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formul
         pairs = []
         last = -1
         ordered = True
-        for atom in p.atoms:
-            entry = pairs_of.get(atom.attr)
+        for attr, value in p.atoms:
+            entry = pairs_of.get(attr)
             if entry is None:
-                raise UnknownIdError(f"formula attribute {atom.attr!r} not in schema")
+                raise UnknownIdError(f"formula attribute {attr!r} not in schema")
             attr_rank, known, other = entry
             ordered = ordered and attr_rank > last
             last = attr_rank
-            pairs.append(known.get(atom.value, other))
+            pairs.append(known.get(value, other))
         return (len(pairs), tuple(pairs) if ordered else tuple(sorted(pairs)))
 
     return key
@@ -165,10 +183,10 @@ def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formul
 
 def satisfies(row: Mapping[str, str], p: Formula) -> bool:
     """Classical satisfaction: the row takes every atom's value."""
-    for atom in p.atoms:
-        if atom.attr not in row:
-            raise UnknownIdError(f"row has no value on {atom.attr!r}")
-        if row[atom.attr] != atom.value:
+    for attr, value in p.atoms:
+        if attr not in row:
+            raise UnknownIdError(f"row has no value on {attr!r}")
+        if row[attr] != value:
             return False
     return True
 
@@ -200,7 +218,7 @@ _ATOM_RE = re.compile(r"^\(([^()=\s]+)=([^()=\s]+)\)$")
 
 def render_formula(p: Formula) -> str:
     """Text form ``(a1=1)&(a2=2)&(a3=3)``."""
-    return "&".join(f"({atom.attr}={atom.value})" for atom in p.atoms)
+    return "&".join([f"({attr}={value})" for attr, value in p.atoms])
 
 
 def parse_formula(text: str, attr_order: Sequence[str]) -> Formula:
@@ -217,7 +235,7 @@ def parse_formula(text: str, attr_order: Sequence[str]) -> Formula:
 
 def formula_json(p: Formula) -> list[dict[str, str]]:
     """JSON form: list of ``{"attr": ..., "value": ...}`` pairs."""
-    return [{"attr": atom.attr, "value": atom.value} for atom in p.atoms]
+    return [{"attr": attr, "value": value} for attr, value in p.atoms]
 
 
 #: Pieces joined into one ``write`` call by :func:`write_json`.
@@ -244,13 +262,13 @@ def write_json(obj, write: Callable[[str], object]) -> None:
     def formula(p: Formula, pad: str) -> str:
         inner = pad + "  "
         texts = []
-        for atom in p.atoms:
-            key = (atom.attr, atom.value, pad)
+        for attr, value in p.atoms:
+            key = (attr, value, pad)
             text = atoms.get(key)
             if text is None:
                 deep = inner + "  "
                 text = atoms[key] = (
-                    f'{{{deep}"attr": {_quote(atom.attr)},{deep}"value": {_quote(atom.value)}{inner}}}'
+                    f'{{{deep}"attr": {_quote(attr)},{deep}"value": {_quote(value)}{inner}}}'
                 )
             texts.append(text)
         return f"[{inner}{(',' + inner).join(texts)}{pad}]"

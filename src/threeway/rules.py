@@ -56,7 +56,7 @@ class RuleSet:
 
 
 def _default_key(p: Formula):
-    return (len(p.atoms), tuple((a.attr, a.value) for a in p.atoms))
+    return (len(p.atoms), p.atoms)
 
 
 def derive_rules(

@@ -35,7 +35,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, check_kind, degree_terms, implication, negate, tnorm
-from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, check_cdl_size, formula_sort_key_for
+from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size, formula_sort_key_for
 from .similarity import _bits
 from .table import NA, SetValuedTable
 
@@ -95,7 +95,7 @@ def strict_degrees(
 
     def visit(atoms, ns, bits) -> bool:
         at = {i: n for n, b, below in zip(ns, bits, (0, *bits)) for i in _bits(b & ~below)}
-        out.append((Formula(atoms), {st.objects[i]: at[i] for i in sorted(at)}))
+        out.append((_formula((atoms,)), {st.objects[i]: at[i] for i in sorted(at)}))
         return True
 
     _search(st, attrs, kind, visit)
@@ -144,7 +144,7 @@ def description_regions_alpha_meaning(
         hits = reduce(or_, bits, 0)
         hit_in, hit_out = (bool(hits & inside), bool(hits & outside)) if a else everyone
         if hit_in != hit_out:
-            (dpos if hit_in else dneg).add(Formula(atoms))
+            (dpos if hit_in else dneg).add(_formula((atoms,)))
         return hit_in or hit_out
 
     _search(st, attrs, kind, visit, b // a if a else math.inf)
@@ -259,7 +259,7 @@ def description_regions_confidence(
     def visit(atoms, ns, bits) -> bool:
         accept, reject, descend = judge(ns, bits)
         if accept or reject:
-            p = Formula(atoms)
+            p = _formula((atoms,))
             if accept:
                 dpos.add(p)
             if reject:

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, UnknownIdError
 from .fuzzy import ONE, TNorm, as_degree, check_kind, degree_terms, implication, tnorm
-from .language import DEFAULT_MAX_FORMULAS, Atom, Formula
+from .language import DEFAULT_MAX_FORMULAS, Atom, Formula, _formula
 from .table import NA, SetValuedTable
 
 
@@ -362,6 +362,6 @@ def _describer(st: SetValuedTable, attrs: tuple[str, ...]):
         count = math.prod(map(len, choices))
         if count > max_formulas:
             raise GuardExceededError(f"{count} descriptions exceed the cap of {max_formulas}")
-        return [Formula(atoms) for atoms in itertools.product(*choices)]
+        return list(map(_formula, zip(itertools.product(*choices))))
 
     return describe

@@ -316,6 +316,26 @@ class TestExitCodes:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [
+            ("1e5000", "error: degree 1e5000 outside [0, 1]"),
+            ("1e10000000", "error: degree 1e10000000 outside [0, 1]"),
+            ("1e-5000", "error: degree 1e-5000 needs more than {limit} digits in its numerator or denominator"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_alpha_exponent_is_1_at_once(self, alpha, message, fmt):
+        """A threshold too large, or too long to print, is refused before
+        any work, without building its power of ten."""
+        result = subprocess.run(
+            [sys.executable, "-m", "threeway", "rules", "--table", SETVALUED8, "--method", "alpha-sim",
+             "--class", "x1,x2", "--alpha", alpha, "--format", fmt],
+            capture_output=True, text=True, env=subprocess_env(), timeout=10,
+        )
+        message = message.format(limit=sys.get_int_max_str_digits())
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", message + "\n")
+
     def test_unknown_class_id_is_1(self, capsys):
         code, _, _ = run(
             capsys,

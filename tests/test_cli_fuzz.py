@@ -1,21 +1,22 @@
 """Fuzzed command lines: ``main(argv)`` runs in process on drawn argument
 lists (subcommands, flags in any order, out-of-range caps and
-thresholds, stray tokens) over valid and broken ``.itab`` texts. Every
-run must end with a documented exit code, 0 to 4, and no exception may
-leave ``main``. Tables and ``--out`` files stay in one temporary
-directory.
+thresholds, thresholds with exponents up to 10**7 either way, stray
+tokens) over valid and broken ``.itab`` texts. Every run must end within
+a second with a documented exit code, 0 to 4, and no exception may leave
+``main``. Tables and ``--out`` files stay in one temporary directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA
-from threeway.cli import METHODS, main
+from threeway.cli import COMPLETE_METHODS, METHODS, main
 
 DECISION_TABLE = (
     "@attributes a1 a2 d\n@domain a1 0 1\n@domain d yes no\n@objects\n"
@@ -43,8 +44,16 @@ FLAG_VALUES = {
     "--out": ("OUT", "DIRECTORY", "NESTED"),
 }
 BARE_FLAGS = ("--exact", "--strip-na-atoms", "--help", "-h", "--")
-# Stray tokens; no "e", so no drawn number has an exponent.
+# Stray tokens; no "e", so exponents come from EXPONENTS alone.
 TOKENS = st.text(alphabet="abdxy0123/.,-=*{}|^()NA @", min_size=0, max_size=6)
+# Decimals such as "1e-10000000": out of range, past the interpreter's
+# digit limit for int strings (4300 by default), or an exact degree.
+EXPONENTS = st.builds(
+    "{}e{}{}".format,
+    st.sampled_from(("0", "1", "3", "0.5", "25", "-1")),
+    st.sampled_from(("", "+", "-")),
+    st.sampled_from((4299, 4300, 4301, 10**7)) | st.integers(0, 10**7),
+)
 
 
 @st.composite
@@ -79,12 +88,15 @@ def command_line(draw) -> list[str]:
         argv += ["--table", "TABLE"]
     # Mostly well-formed method options, so that runs get past argparse.
     if command in ("regions", "rules") and draw(st.integers(0, 4)):
-        argv += ["--method", draw(st.sampled_from(METHODS)), "--class", "x1,x2", "--alpha", "1/2"]
+        alpha = draw(st.just("1/2") | EXPONENTS)
+        argv += ["--method", draw(st.sampled_from(METHODS)), "--class", "x1,x2", "--alpha", alpha]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.integers(0, 9))
         if kind < 7:
             flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
             values = st.sampled_from(FLAG_VALUES[flag])
+            if flag == "--alpha":
+                values |= EXPONENTS
             # Paths are never stray tokens, so nothing is written outside the work directory.
             argv += [flag, draw(values if flag in ("--table", "--out") else values | TOKENS)]
         elif kind < 9:
@@ -92,6 +104,14 @@ def command_line(draw) -> list[str]:
         else:
             argv.append(draw(TOKENS))
     return argv
+
+
+def _run(argv) -> tuple[int, str, float]:
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue(), time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +133,25 @@ def test_main_exits_with_a_documented_code(workdir, data, argv):
         "NESTED": workdir / "missing" / "out.txt",
     }
     argv = [str(paths.get(token, token)) for token in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    code, _, seconds = _run(argv)
     assert code in range(5), argv
+    assert seconds < 1, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(("rules", "regions")),
+    method=st.sampled_from([m for m in METHODS if m not in COMPLETE_METHODS]),
+    alpha=EXPONENTS,
+    fmt=st.sampled_from(("text", "json")),
+)
+def test_alpha_exponents_end_within_a_second(command, method, alpha, fmt):
+    """Every drawn exponent reaches the threshold parser on a valid table.
+    A refused threshold exits 1 before anything is written to stdout."""
+    argv = [command, "--table", str(DATA / "setvalued8.itab"), "--method", method,
+            "--class", "x1,x2", "--alpha", alpha, "--format", fmt]
+    code, out, seconds = _run(argv)
+    assert code in (0, 1), argv
+    assert code == 0 or out == "", argv
+    assert seconds < 1, argv
+

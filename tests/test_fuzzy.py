@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -120,6 +122,61 @@ class TestRendering:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_degree(text)
+
+    @given(
+        st.text("0123456789", min_size=1, max_size=6),
+        st.text("0123456789", max_size=6),
+        st.sampled_from(("", "-", "+")),
+        st.integers(-40, 40),
+    )
+    def test_parse_matches_fraction_on_small_numerals(self, whole, part, sign, exponent):
+        text = f"{sign}{whole}.{part}e{exponent}"
+        value = Fr(text)
+        if 0 <= value <= 1:
+            assert parse_degree(text) == value
+        else:
+            with pytest.raises(ValueError, match=r"^degree .* outside \[0, 1\]$"):
+                parse_degree(text)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("5e-1", Fr(1, 2)),
+            ("0e10000000", Fr(0)),
+            ("-0e-10000000", Fr(0)),
+            ("0.5" + "0" * 6000, Fr(1, 2)),
+            ("25e-2", Fr(1, 4)),
+            ("1" + "0" * 5000 + "e-5000", Fr(1)),
+        ],
+    )
+    def test_parse_exponents(self, text, value):
+        assert parse_degree(text) == value
+
+    @pytest.mark.parametrize("text", ["1e5000", "1e10000000", "-1e10000000", "2e-0", "1.0000001"])
+    def test_range_is_settled_before_the_power_of_ten(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^degree {text} outside \[0, 1\]$"):
+            parse_degree(text)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", ["1e-5000", "1e-10000000", "0.3e-4300", "0." + "7" * 4301])
+    def test_terms_past_the_digit_limit_are_refused(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"needs more than \d+ digits in its numerator or denominator$"):
+            parse_degree(text)
+        assert time.perf_counter() - start < 1
+
+    def test_terms_at_the_digit_limit_are_kept(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_degree(f"1e-{limit - 1}") == Fr(1, 10 ** (limit - 1))
+        assert parse_degree("0." + "3" * (limit - 1)) == Fr(int("3" * (limit - 1)), 10 ** (limit - 1))
+        for text in (f"1e-{limit}", "0." + "3" * limit):
+            with pytest.raises(ValueError, match="needs more than"):
+                parse_degree(text)
+
+    def test_format_exact_names_the_digit_limit(self):
+        with pytest.raises(ValueError, match=r"^degree needs more than \d+ digits in its numerator or denominator$"):
+            format_exact(Fr(1, 10**5000))
 
     def test_degree_alias_is_fraction(self):
         assert fuzzy.Degree is Fr

@@ -114,3 +114,21 @@ def test_large_payload_is_written_in_batches():
 def test_non_string_key_and_unknown_leaf_are_refused(bad):
     with pytest.raises(TypeError):
         text_of(bad)
+
+
+@pytest.mark.parametrize("wrap", (lambda p: [p], lambda p: (p,), lambda p: {"lhs": p}), ids=("list", "tuple", "dict"))
+def test_a_formula_in_a_container_is_not_a_nested_array(wrap):
+    """A Formula is a tuple, which the stdlib encoder would print as an
+    array of arrays; the writer prints its ``formula_json``."""
+    p = Formula((Atom("a1", "0"), Atom("a2", "NA")))
+    obj = wrap(p)
+    key = '"lhs": ' if isinstance(obj, dict) else ""
+    open_, close = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    assert text_of(obj) == (
+        f"{open_}\n  {key}[\n"
+        '    {\n      "attr": "a1",\n      "value": "0"\n    },\n'
+        '    {\n      "attr": "a2",\n      "value": "NA"\n    }\n'
+        f"  ]\n{close}\n"
+    )
+    assert text_of(obj) == json.dumps(plain(obj), indent=2) + "\n"
+    assert text_of(obj) != json.dumps(obj, indent=2) + "\n"

@@ -81,13 +81,18 @@ from .satisfiability import (
     sat_profile,
 )
 from .rules import Decision, Provenance, Rule, RuleSet, apply_rules, derive_rules, merge, render
-from .oracle import (
-    OracleReport,
-    oracle_classical_reduction,
-    oracle_sat_degree,
-    oracle_similarity,
-    oracle_closure_equality,
-    run_all_checks,
-)
 
 __version__ = "0.1.0"
+
+#: The names of ``oracle``, which is imported on their first use (PEP 562):
+#: of the commands, only ``oracle-check`` needs it.
+_ORACLE = {"OracleReport", "oracle_classical_reduction", "oracle_closure_equality",
+           "oracle_sat_degree", "oracle_similarity", "run_all_checks"}
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)

@@ -27,7 +27,6 @@ from .language import (
     render_formula,
     write_json,
 )
-from .oracle import OracleReport, run_all_checks
 from .rules import Provenance, _payload, derive_rules
 from .rules import render as render_rules
 from .satisfiability import (
@@ -356,6 +355,8 @@ def _cmd_satisfiability(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import run_all_checks
+
     st = _load_table(args)
     attrs = _resolve_attrs(args, st)
     members = st.class_set(_split_csv(args.class_ids)) if args.class_ids else None
@@ -378,7 +379,7 @@ def _cmd_oracle(args) -> int:
         _emit_json(args, payload)
     else:
         lines = []
-        by_check: dict[str, list[OracleReport]] = {}
+        by_check: dict[str, list] = {}
         for r in reports:
             by_check.setdefault(r.check, []).append(r)
         for check, group in by_check.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
 from .fuzzy import TNorm
@@ -44,8 +44,7 @@ class Partition:
         return frozenset(self.blocks)
 
 
-@dataclass(frozen=True)
-class StructuredRegions:
+class StructuredRegions(NamedTuple):
     """Positive, negative, and boundary parts of a family of building blocks."""
 
     pos: frozenset[frozenset[str]]
@@ -53,8 +52,7 @@ class StructuredRegions:
     bnd: frozenset[frozenset[str]]
 
 
-@dataclass(frozen=True)
-class DescribedSet:
+class DescribedSet(NamedTuple):
     """An object set together with every formula whose meaning set it is."""
 
     members: frozenset[str]

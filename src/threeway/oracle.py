@@ -12,9 +12,8 @@ only axioms and closed forms can vouch for it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError
 from .fuzzy import ZERO, TNorm, as_degree
@@ -27,8 +26,7 @@ from .table import DEFAULT_MAX_WORLDS, SetValuedTable, is_complete
 DEFAULT_MAX_CLOSURE_SETS = 2**16
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """One check: passes iff expected equals actual exactly."""
 
     check: str

@@ -9,9 +9,8 @@ Anything not matched by a rule falls to the non-commitment default.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import IncompleteTableError
 from .fuzzy import format_exact
@@ -27,8 +26,7 @@ class Decision(enum.Enum):
 _MARKS = {Decision.ACCEPT: "(A)", Decision.REJECT: "(R)", Decision.NON_COMMIT: "(N)"}
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where a rule came from: method id, T-norm name, threshold, class label."""
 
     method: str
@@ -37,15 +35,13 @@ class Provenance:
     class_label: str = ""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: Formula
     decision: Decision
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     """Ordered rules plus the implicit non-commitment default."""
 
     rules: tuple[Rule, ...]

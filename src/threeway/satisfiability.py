@@ -27,12 +27,11 @@ evaluate the defining expressions and serve as references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, repeat
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, check_kind, degree_terms, implication, negate, tnorm
 from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size, formula_sort_key_for
@@ -40,8 +39,7 @@ from .similarity import _bits
 from .table import NA, SetValuedTable
 
 
-@dataclass(frozen=True, eq=False)
-class SatProfile:
+class SatProfile(NamedTuple):
     """Per-object satisfiability degrees of one formula."""
 
     formula: Formula
@@ -49,8 +47,7 @@ class SatProfile:
     kind: TNorm
 
 
-@dataclass(frozen=True)
-class Confidence:
+class Confidence(NamedTuple):
     """Degrees to which a formula supports an acceptance or a rejection
     rule for the given class."""
 

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceededError, UnknownIdError
 from .fuzzy import ONE, TNorm, as_degree, check_kind, degree_terms, implication, tnorm
@@ -39,8 +38,7 @@ from .language import DEFAULT_MAX_FORMULAS, Atom, Formula, _formula
 from .table import NA, SetValuedTable
 
 
-@dataclass(frozen=True, eq=False)
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     """Symmetric grid of pairwise similarity degrees with unit diagonal."""
 
     objects: tuple[str, ...]
@@ -55,8 +53,7 @@ class SimilarityMatrix:
             raise UnknownIdError(f"no entry for pair ({x!r}, {y!r})") from None
 
 
-@dataclass(frozen=True)
-class Approximability:
+class Approximability(NamedTuple):
     """Degrees to which an object's description implies class membership
     (positive) or non-membership (negative)."""
 

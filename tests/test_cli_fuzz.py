@@ -4,6 +4,10 @@ thresholds, thresholds with exponents up to 10**7 either way, stray
 tokens) over valid and broken ``.itab`` texts. Every run must end within
 a second with a documented exit code, 0 to 4, and no exception may leave
 ``main``. Tables and ``--out`` files stay in one temporary directory.
+
+Valid ``rules`` and ``regions`` command lines, drawn over the checked-in
+tables, must exit 0, and ``rules --format json`` must print what the
+library builders and ``derive_rules`` give for the same options.
 """
 
 from __future__ import annotations
@@ -16,7 +20,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA
+from threeway import (
+    NA,
+    Formula,
+    Provenance,
+    TNorm,
+    derive_rules,
+    description_regions_alpha_meaning,
+    description_regions_alpha_sim,
+    description_regions_approx,
+    description_regions_complete,
+    description_regions_confidence,
+    is_complete,
+    object_description,
+    parse_degree,
+    parse_table,
+    regions_computational,
+    to_set_valued,
+)
 from threeway.cli import COMPLETE_METHODS, METHODS, main
+from threeway.language import formula_sort_key_for, write_json
+from threeway.rules import rules_json
 
 DECISION_TABLE = (
     "@attributes a1 a2 d\n@domain a1 0 1\n@domain d yes no\n@objects\n"
@@ -155,3 +179,114 @@ def test_alpha_exponents_end_within_a_second(command, method, alpha, fmt):
     assert code == 0 or out == "", argv
     assert seconds < 1, argv
 
+
+# The checked-in tables, each with its decision column and class values, if any.
+VALID_TABLES = {
+    "complete6.itab": None,
+    "complete40.itab": ("d", ("yes", "no")),
+    "setvalued8.itab": None,
+    "unicode5.itab": ("δ", ("ja", "nein")),
+}
+LOADED = {name: to_set_valued(parse_table((DATA / name).read_text(encoding="utf-8"))) for name in VALID_TABLES}
+VALID_ALPHAS = ("0", "1/3", "1/2", "3/5", "1", "1/1000000")
+BUILDERS = {
+    "alpha-sim": description_regions_alpha_sim,
+    "approx": description_regions_approx,
+    "alpha-meaning": description_regions_alpha_meaning,
+    "confidence": description_regions_confidence,
+}
+
+
+@st.composite
+def valid_options(draw) -> dict:
+    """The options of a valid ``rules`` or ``regions`` run: complete methods
+    on complete tables only, and the decision column never an attribute."""
+    name = draw(st.sampled_from(sorted(VALID_TABLES)))
+    table = LOADED[name]
+    methods = [m for m in METHODS if m not in COMPLETE_METHODS or is_complete(table)]
+    o = {"table": name, "method": draw(st.sampled_from(methods)), "format": draw(st.sampled_from(("text", "json"))),
+         "column": None, "value": None, "class": None, "attrs": None, "tnorm": None, "alpha": None, "strip": None}
+    decision = VALID_TABLES[name]
+    if decision and draw(st.booleans()):
+        o["column"] = decision[0]
+        o["value"] = draw(st.sampled_from(decision[1]))
+    else:
+        o["class"] = draw(st.lists(st.sampled_from(table.objects), min_size=1, unique=True))
+    candidates = [a for a in table.attribute_names if a != o["column"]]
+    if draw(st.booleans()):
+        o["attrs"] = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    if o["method"] not in COMPLETE_METHODS:
+        o["tnorm"] = draw(st.sampled_from((None, "min", "prod")))
+        o["alpha"] = draw(st.sampled_from(VALID_ALPHAS))
+    if draw(st.booleans()):
+        o["strip"] = draw(st.lists(st.sampled_from(candidates), unique=True))
+    return o
+
+
+def _argv(command: str, o: dict) -> list[str]:
+    argv = [command, "--table", str(DATA / o["table"]), "--method", o["method"], "--format", o["format"]]
+    if o["column"]:
+        argv += ["--class-column", o["column"], "--class-value", o["value"]]
+    else:
+        argv += ["--class", ",".join(o["class"])]
+    if o["attrs"]:
+        argv += ["--attrs", ",".join(o["attrs"])]
+    if o["tnorm"]:
+        argv += ["--tnorm", o["tnorm"]]
+    if o["alpha"]:
+        argv += ["--alpha", o["alpha"]]
+    if o["strip"] is not None:
+        argv += ["--strip-na-atoms", *o["strip"]]
+    return argv
+
+
+def _library_rules_json(o: dict) -> str:
+    """The ``rules --format json`` text of the options, from the library."""
+    table = LOADED[o["table"]]
+    method, column = o["method"], o["column"]
+    if column:
+        members = frozenset(x for x in table.objects if table.cell(x, column) == {o["value"]})
+        label = f"{column}={o['value']}"
+    else:
+        members = frozenset(o["class"])
+        label = ",".join(sorted(members, key=table.position))
+    attrs = table.attr_subset(o["attrs"] or [a for a in table.attribute_names if a != column])
+    kind = TNorm(o["tnorm"] or "min")
+    alpha = None if o["alpha"] is None else parse_degree(o["alpha"])
+    if method == "eq-complete":
+        regions = regions_computational(table, attrs, members)
+        dpos, dneg = (
+            {object_description(table.known_row(min(block, key=table.position)), attrs, table.attribute_names)
+             for block in blocks}
+            for blocks in (regions.pos, regions.neg)
+        )
+    elif method == "cdl-complete":
+        dpos, dneg = description_regions_complete(table, attrs, members)
+    else:
+        dpos, dneg = BUILDERS[method](table, attrs, alpha, members, kind)
+    if o["strip"] is not None:
+        targets = set(o["strip"] or attrs)
+
+        def strip(region):
+            kept = ([a for a in p.atoms if not (a.value == NA and a.attr in targets)] for p in region)
+            return {Formula(atoms) for atoms in kept if atoms}
+
+        dpos, dneg = strip(dpos), strip(dneg)
+    provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
+    ruleset = derive_rules(dpos, dneg, provenance, sort_key=formula_sort_key_for(tuple(map(table.schema, attrs))))
+    parts: list[str] = []
+    write_json(rules_json(ruleset), parts.append)
+    return "".join(parts)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(("rules", "regions")), options=valid_options())
+def test_valid_command_lines_exit_0(command, options):
+    """Every method, T-norm, format and threshold on every checked-in table
+    gets past argparse and the resolvers; ``rules --format json`` prints
+    the library's rule set."""
+    argv = _argv(command, options)
+    code, out, _ = _run(argv)
+    assert code == 0, argv
+    if command == "rules" and options["format"] == "json":
+        assert out == _library_rules_json(options), argv

@@ -156,25 +156,27 @@ def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formul
     built once, so a sort over many formulas does not rebuild them.
 
     The key is ``(atom count, sorted (attribute rank, value rank) pairs)``;
-    a value outside the domain, such as ``NA``, ranks after it. Each atom's
-    pair is one dict lookup in C. An atom missing from that dict, with an
-    unknown attribute or a value outside the domain other than ``NA``,
-    sends its formula down a slower path, which raises for the former."""
-    rank = {(s.name, v): (i, j) for i, s in enumerate(schemas) for j, v in enumerate(s.domain + (NA,))}
-    outside = {s.name: (i, len(s.domain)) for i, s in enumerate(schemas)}
-
-    def pair(atom: Atom) -> tuple[int, int]:
-        try:
-            return rank.get(atom) or outside[atom[0]]
-        except KeyError:
-            raise UnknownIdError(f"formula attribute {atom[0]!r} not in schema") from None
+    a value outside the domain ranks after it. Each pair is built once per
+    schema, and atoms already in declaration order, as made by
+    :func:`make_formula`, skip the sort."""
+    pairs_of = {
+        s.name: (i, {v: (i, j) for j, v in enumerate(s.domain)}, (i, len(s.domain)))
+        for i, s in enumerate(schemas)
+    }
 
     def key(p: Formula) -> tuple:
-        atoms = p[0]
-        try:
-            return (len(atoms), tuple(sorted(map(rank.__getitem__, atoms))))
-        except KeyError:
-            return (len(atoms), tuple(sorted(map(pair, atoms))))
+        pairs = []
+        last = -1
+        ordered = True
+        for attr, value in p.atoms:
+            entry = pairs_of.get(attr)
+            if entry is None:
+                raise UnknownIdError(f"formula attribute {attr!r} not in schema")
+            attr_rank, known, other = entry
+            ordered = ordered and attr_rank > last
+            last = attr_rank
+            pairs.append(known.get(value, other))
+        return (len(pairs), tuple(pairs) if ordered else tuple(sorted(pairs)))
 
     return key
 

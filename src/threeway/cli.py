@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -144,7 +144,7 @@ def _cap(text: str) -> int:
 
 
 def _load_table(args) -> SetValuedTable:
-    text = Path(args.table).read_text(encoding="utf-8")
+    text = Path(args.table).read_text(encoding="utf-8-sig")
     return to_set_valued(parse_table(text))
 
 
@@ -207,24 +207,14 @@ def _resolve_kind_alpha(args, method: str) -> tuple[TNorm, Fraction | None]:
     return kind, parse_degree(args.alpha)
 
 
-@contextmanager
-def _output(args):
-    """The ``write`` of ``--out`` (UTF-8 text) or of stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            yield f.write
-    else:
-        yield sys.stdout.write
-
-
-def _emit(args, text: str) -> None:
-    with _output(args) as write:
-        write(text)
-
-
-def _emit_json(args, payload) -> None:
-    with _output(args) as write:
-        write_json(payload, write)
+def _emit(args, payload) -> None:
+    """Write ``payload`` to ``--out`` (UTF-8 text) or to stdout: a ``str``
+    as it is, any other payload through ``write_json``."""
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as f:
+        if isinstance(payload, str):
+            f.write(payload)
+        else:
+            write_json(payload, f.write)
 
 
 def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
@@ -291,7 +281,7 @@ def _cmd_regions(args) -> int:
         payload = {"dpos": pos, "dneg": neg}
         lines = [f"DPOS {render_formula(p)}" for p in pos] + [f"DNEG {render_formula(p)}" for p in neg]
     if args.format == "json":
-        _emit_json(args, payload)
+        _emit(args, payload)
         return 0
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     lines.append(render_rules(ruleset, "text").rstrip("\n"))
@@ -302,10 +292,7 @@ def _cmd_regions(args) -> int:
 def _cmd_rules(args) -> int:
     _, key, _, dpos, dneg, provenance = _method_regions(args)
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
-    if args.format == "json":
-        _emit_json(args, _payload(ruleset))
-    else:
-        _emit(args, render_rules(ruleset, "text"))
+    _emit(args, _payload(ruleset) if args.format == "json" else render_rules(ruleset, "text"))
     return 0
 
 
@@ -322,7 +309,7 @@ def _cmd_similarity(args) -> int:
     if args.format == "json":
         payload = {"objects": list(matrix.objects), "attrs": list(matrix.attrs), "tnorm": kind.value,
                    "entries": cells}
-        _emit_json(args, payload)
+        _emit(args, payload)
         return 0
     width = max(len(c) for row in [*cells, matrix.objects] for c in row)
     header = " " * width + " " + " ".join(f"{y:>{width}}" for y in matrix.objects)
@@ -344,7 +331,7 @@ def _cmd_satisfiability(args) -> int:
     if args.format == "json":
         payload = [{"label": label, "formula": p, "tnorm": kind.value, "degrees": nonzero}
                    for label, p, nonzero in entries]
-        _emit_json(args, payload)
+        _emit(args, payload)
         return 0
     lines = []
     for label, p, nonzero in entries:
@@ -376,7 +363,7 @@ def _cmd_oracle(args) -> int:
             }
             for r in reports
         ]
-        _emit_json(args, payload)
+        _emit(args, payload)
     else:
         lines = []
         by_check: dict[str, list] = {}

@@ -88,45 +88,30 @@ def apply_rules(rs: RuleSet, row: Mapping[str, str]) -> Decision:
     missing = mentioned - set(row)
     if missing:
         raise IncompleteTableError(f"row lacks values on {sorted(missing)!r}")
-    accepted = any(
-        satisfies(row, rule.lhs) for rule in rs.rules if rule.decision is Decision.ACCEPT
-    )
-    rejected = any(
-        satisfies(row, rule.lhs) for rule in rs.rules if rule.decision is Decision.REJECT
-    )
-    if accepted and rejected:
-        return Decision.NON_COMMIT
-    if accepted:
-        return Decision.ACCEPT
-    if rejected:
-        return Decision.REJECT
-    return rs.default
+    matched = {rule.decision for rule in rs.rules if satisfies(row, rule.lhs)} - {Decision.NON_COMMIT}
+    if len(matched) == 1:
+        return matched.pop()
+    return Decision.NON_COMMIT if matched else rs.default
 
 
 def merge(rulesets: Iterable[RuleSet]) -> RuleSet:
     """Combine rule sets derived from different attribute subsets.
 
-    A formula accepted by one source and rejected by another is downgraded
-    to an explicit non-commitment rule.
+    Per formula and decision the first rule counts. Accept plus reject
+    becomes non-commit with the accept rule's provenance; a lone accept or
+    reject wins over an explicit non-commit.
     """
-    pos: dict[Formula, Rule] = {}
-    neg: dict[Formula, Rule] = {}
-    other: dict[Formula, Rule] = {}
+    first: dict[Formula, dict[Decision, Rule]] = {}
     for rs in rulesets:
         for rule in rs.rules:
-            target = {
-                Decision.ACCEPT: pos,
-                Decision.REJECT: neg,
-                Decision.NON_COMMIT: other,
-            }[rule.decision]
-            target.setdefault(rule.lhs, rule)
-    conflicts = set(pos) & set(neg)
-    rules = [rule for p, rule in pos.items() if p not in conflicts]
-    rules += [rule for p, rule in neg.items() if p not in conflicts]
-    rules += [
-        Rule(p, Decision.NON_COMMIT, pos[p].provenance) for p in conflicts
-    ]
-    rules += [rule for p, rule in other.items() if p not in conflicts and p not in pos and p not in neg]
+            first.setdefault(rule.lhs, {}).setdefault(rule.decision, rule)
+    rules = []
+    for p, by in first.items():
+        accept, reject = by.get(Decision.ACCEPT), by.get(Decision.REJECT)
+        if accept and reject:
+            rules.append(Rule(p, Decision.NON_COMMIT, accept.provenance))
+        else:
+            rules.append(accept or reject or by[Decision.NON_COMMIT])
     rules.sort(key=lambda r: _default_key(r.lhs))
     return RuleSet(tuple(rules))
 

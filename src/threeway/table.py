@@ -129,6 +129,12 @@ class _Cells(Mapping):
         return len(self.objects) * len(self.columns)
 
 
+def _first_bad(columns: Sequence[Sequence], bad: Mapping[int, Mapping]) -> tuple[int, int]:
+    """Row and column index of the first cell, in row-major order, whose
+    entry in ``columns[j]`` is a key of ``bad[j]``."""
+    return min((next(i for i, v in enumerate(columns[j]) if v in bad_j), j) for j, bad_j in bad.items())
+
+
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """Objects x attributes grid: shape checks, O(1) id indexes, and the
@@ -145,17 +151,16 @@ class _Grid:
             raise ValueError("table needs at least one object")
         if not self.attributes:
             raise ValueError("table needs at least one attribute")
-        cells = self.cells
-        # A view over the same objects already holds their index.
-        view = isinstance(cells, _Cells) and cells.objects == self.objects
-        positions = cells.positions if view else {x: i for i, x in enumerate(self.objects)}
+        positions = {x: i for i, x in enumerate(self.objects)}
         if len(positions) != len(self.objects):
             raise ValueError("duplicate object identifiers")
         by_name = {a.name: a for a in self.attributes}
         if len(by_name) != len(self.attributes):
             raise ValueError("duplicate attribute names")
         object.__setattr__(self, "_by_name", by_name)
-        if not (view and tuple(cells.columns) == tuple(by_name)):
+        cells = self.cells
+        if not (isinstance(cells, _Cells) and cells.objects == self.objects
+                and tuple(cells.columns) == tuple(by_name)):
             if len(cells) != len(self.objects) * len(self.attributes):
                 raise ValueError("cells map is not total over objects x attributes")
             columns = {}
@@ -169,20 +174,17 @@ class _Grid:
                 raise ValueError(f"missing cell ({x}, {a})") from None
             cells = _Cells(self.objects, positions, columns)
         object.__setattr__(self, "cells", cells)
-        # Check each distinct cell once; report the first bad cell in row-major order.
-        found = []
-        for j, (name, (values, codes)) in enumerate(cells.columns.items()):
+        # Check each distinct cell once, by its code; ``_problem`` gives the
+        # end of the error message for a bad cell of column ``name``.
+        bad = {}
+        for j, (name, (values, _)) in enumerate(cells.columns.items()):
             domain = set(by_name[name].domain)
-            bad = {c: m for c, cell in enumerate(values) if (m := self._problem(name, cell, domain))}
-            if bad:
-                i = next(i for i, c in enumerate(codes) if c in bad)
-                found.append((i, j, f"cell ({self.objects[i]}, {name}){bad[codes[i]]}"))
-        if found:
-            raise ValueError(min(found)[2])
-
-    def _problem(self, name: str, cell, domain: set[str]) -> str | None:
-        """The end of the error message for a bad cell of column ``name``."""
-        return None
+            if problems := {c: m for c, cell in enumerate(values) if (m := self._problem(name, cell, domain))}:
+                bad[j] = problems
+        if bad:
+            codes = [c for _, c in cells.columns.values()]
+            i, j = _first_bad(codes, bad)
+            raise ValueError(f"cell ({self.objects[i]}, {self.attributes[j].name}){bad[j][codes[j][i]]}")
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -527,12 +529,8 @@ def parse_table(text: str) -> IncompleteTable:
     columns = list(zip(*rows))
 
     def fail_first(bad: dict[int, dict[str, str]]) -> NoReturn:
-        """Raise the message of the first cell, in row-major order, whose
-        token ``bad`` lists under its attribute's index."""
-        i, j = min(
-            (next(i for i, token in enumerate(columns[j]) if token in messages), j)
-            for j, messages in bad.items()
-        )
+        """Raise the message of the first bad token in row-major order."""
+        i, j = _first_bad(columns, bad)
         line_no = row_lines[i]
         raise TableParseError(bad[j][columns[j][i]], line_no, _column(lines[line_no - 1], j + 1))
 

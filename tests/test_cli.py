@@ -298,6 +298,14 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["rules", "regions"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, command):
+        bom = tmp_path / "bom.itab"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(COMPLETE6).read_bytes())
+        argv = [command, "--method", "cdl-complete", "--class", "x1,x2,x3,x4"]
+        assert run(capsys, *argv, "--table", str(bom)) == run(capsys, *argv, "--table", COMPLETE6)
+        assert run(capsys, *argv, "--table", COMPLETE6)[0] == 0
+
     def test_guard_exceeded_is_3(self, capsys):
         code, _, _ = run(
             capsys,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
@@ -143,9 +144,20 @@ def _cap(text: str) -> int:
     return value
 
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _load_table(args) -> SetValuedTable:
+    """The ``--table`` file; its parse warnings are printed, also when it fails."""
     text = Path(args.table).read_text(encoding="utf-8-sig")
-    return to_set_valued(parse_table(text))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return to_set_valued(parse_table(text))
+        finally:
+            for w in caught:
+                _warn(str(w.message))
 
 
 def _split_csv(value: str) -> list[str]:
@@ -199,7 +211,7 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
 def _resolve_kind_alpha(args, method: str) -> tuple[TNorm, Fraction | None]:
     if method in COMPLETE_METHODS:
         if args.tnorm is not None or args.alpha is not None:
-            print(f"warning: --tnorm/--alpha ignored for method {method}", file=sys.stderr)
+            _warn(f"--tnorm/--alpha ignored for method {method}")
         return TNorm.MIN, None
     kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
     if args.alpha is None:

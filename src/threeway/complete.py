@@ -11,7 +11,6 @@ every degree is 0 or 1, and a meaning set is the alpha-meaning set at 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceededError, IncompleteTableError, UnknownIdError
@@ -24,20 +23,16 @@ from .table import SetValuedTable, is_complete
 DEFAULT_MAX_CLOSURE = 2**16
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Disjoint nonempty blocks covering the universe, in table order."""
 
     blocks: tuple[frozenset[str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_block_of", {x: block for block in self.blocks for x in block})
-
     def block_of(self, x: str) -> frozenset[str]:
-        try:
-            return self._block_of[x]
-        except KeyError:
-            raise UnknownIdError(f"object {x!r} not in this partition") from None
+        for block in self.blocks:
+            if x in block:
+                return block
+        raise UnknownIdError(f"object {x!r} not in this partition")
 
     @property
     def block_family(self) -> frozenset[frozenset[str]]:

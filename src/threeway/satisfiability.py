@@ -90,10 +90,10 @@ def strict_degrees(
     check_cdl_size(schemas, STRICT, max_formulas)
     out = []
 
-    def visit(atoms, ns, bits) -> bool:
+    def visit(atoms, ns, bits) -> tuple[bool, bool, bool]:
         at = {i: n for n, b, below in zip(ns, bits, (0, *bits)) for i in _bits(b & ~below)}
         out.append((_formula((atoms,)), {st.objects[i]: at[i] for i in sorted(at)}))
-        return True
+        return False, False, True
 
     _search(st, attrs, kind, visit)
     key = formula_sort_key_for(schemas)
@@ -134,18 +134,13 @@ def description_regions_alpha_meaning(
     everyone = (bool(members), len(members) < len(st.objects))
     inside = sum(1 << i for i, x in enumerate(st.objects) if x in members)
     outside = ~inside
-    dpos: set[Formula] = set()
-    dneg: set[Formula] = set()
 
-    def visit(atoms, _, bits) -> bool:
+    def judge(_, __, bits) -> tuple[bool, bool, bool]:
         hits = reduce(or_, bits, 0)
         hit_in, hit_out = (bool(hits & inside), bool(hits & outside)) if a else everyone
-        if hit_in != hit_out:
-            (dpos if hit_in else dneg).add(_formula((atoms,)))
-        return hit_in or hit_out
+        return hit_in and not hit_out, hit_out and not hit_in, hit_in or hit_out
 
-    _search(st, attrs, kind, visit, b // a if a else math.inf)
-    return frozenset(dpos), frozenset(dneg)
+    return _search(st, attrs, kind, judge, b // a if a else math.inf)
 
 
 def confidence(st: SetValuedTable, p: Formula, x_set: Iterable[str], kind: TNorm) -> Confidence:
@@ -232,13 +227,13 @@ def description_regions_confidence(
             m = next(compress(ns, map(and_, bits, repeat(mask))), 0)
             return (not a or 0 < m and a * m <= b), (not m or b * (m - 1) >= a * m)
 
-        def judge(ns, bits) -> tuple[bool, bool, bool]:
+        def judge(_, ns, bits) -> tuple[bool, bool, bool]:
             hi_in, lo_in = side(ns, bits, inside)
             hi_out, lo_out = side(ns, bits, outside)
             return hi_in and lo_out, hi_out and lo_in, hi_in or hi_out
 
     else:  # PRODUCT; the search rejects any other kind.
-        def judge(ns, bits) -> tuple[bool, bool, bool]:
+        def judge(_, ns, bits) -> tuple[bool, bool, bool]:
             # prod (1 - D) = p / q per side: (N - 1)^c / N^c for its c objects at N.
             p_in = q_in = p_out = q_out = 1
             for n, h in zip(ns, bits):
@@ -250,21 +245,7 @@ def description_regions_confidence(
                 b * (q_in - p_in) >= a * q_in or b * (q_out - p_out) >= a * q_out,
             )
 
-    dpos: set[Formula] = set()
-    dneg: set[Formula] = set()
-
-    def visit(atoms, ns, bits) -> bool:
-        accept, reject, descend = judge(ns, bits)
-        if accept or reject:
-            p = _formula((atoms,))
-            if accept:
-                dpos.add(p)
-            if reject:
-                dneg.add(p)
-        return descend
-
-    _search(st, attrs, kind, visit)
-    return frozenset(dpos), frozenset(dneg)
+    return _search(st, attrs, kind, judge)
 
 
 # --------------------------------------------------------------------------
@@ -276,17 +257,20 @@ def description_regions_confidence(
 
 
 def _search(
-    st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm, visit: Callable[..., bool], cap: float = math.inf
-) -> None:
+    st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm, visit: Callable[..., tuple[bool, bool, bool]],
+    cap: float = math.inf,
+) -> tuple[frozenset[Formula], frozenset[Formula]]:
     """Depth first over the set-enumeration tree of the strict formulas on
-    ``attrs``, whose children add one atom on a later attribute and are
-    searched only when ``visit`` returns true for their parent.
+    ``attrs``, whose children add one atom on a later attribute; returns
+    the (positive, negative) regions that ``visit`` puts formulas in.
 
     ``visit`` gets a formula's atoms and levels: denominators ``ns`` and
     bitsets (bit i for ``st.objects[i]``) of its objects of degree 1/N > 0
     with N <= ``cap``. Under MIN level k holds those with N <= ns[k], a
     ladder over the cell sizes, ascending, so a child's levels are its
     parent's ANDed with its atom's; under PRODUCT, those with N = ns[k].
+    It returns whether the formula is in each region, and whether its
+    children are searched.
     """
     check_kind(kind)
     cap = min(cap, math.prod(len(st.schema(a).domain) for a in attrs))  # an int from here
@@ -321,11 +305,21 @@ def _search(
     # recursive closure, which would be a reference cycle holding the state until collected.
     root = (tuple(sizes), (everyone,) * len(sizes)) if kind is TNorm.MIN else ((1,), (everyone,))
     stack = [((), 0, *root)]
+    dpos: set[Formula] = set()
+    dneg: set[Formula] = set()
     while stack:
         prefix, start, ns, bits = stack.pop()
         for j in range(start, len(levels)):
             for atom, column in levels[j]:
                 atoms = prefix + (atom,)
                 child_ns, child_bits = grow(ns, bits, column)
-                if visit(atoms, child_ns, child_bits) and j + 1 < len(levels):
+                pos, neg, below = visit(atoms, child_ns, child_bits)
+                if pos or neg:
+                    p = _formula((atoms,))
+                    if pos:
+                        dpos.add(p)
+                    if neg:
+                        dneg.add(p)
+                if below and j + 1 < len(levels):
                     stack.append((atoms, j + 1, child_ns, child_bits))
+    return frozenset(dpos), frozenset(dneg)

@@ -250,9 +250,8 @@ def description_regions_approx(
     def decide(s, inside):
         # The closed forms of :func:`approximability_closed`: the degree
         # toward x's own side folds 1 - G over the other side, and the
-        # degree toward the other side is 0, since G(x, x) = 1.
-        if a == 0:  # every degree is at least 0
-            return True, True
+        # degree toward the other side is 0, since G(x, x) = 1, which
+        # reaches alpha only at alpha = 0.
         others = near[s] & rows.other_bits[inside]
         if kind is TNorm.MIN:
             toward = not others
@@ -266,7 +265,7 @@ def description_regions_approx(
                 if num * b < a * den:
                     break  # every further factor is at most 1
             toward = num * b >= a * den
-        return (toward, False) if inside else (False, toward)
+        return (toward, not a) if inside else (not a, toward)
 
     return _object_regions(st, attrs, members, rows, decide, max_formulas)
 

@@ -548,46 +548,45 @@ def parse_table(text: str) -> IncompleteTable:
     if bad:
         fail_first(bad)
 
-    domains: dict[str, tuple[str, ...]] = {}
-    for j, (name, cells_of) in enumerate(zip(attr_names, parsed)):
-        if name in declared:
-            domains[name] = declared[name]
-            continue
-        if "*" in cells_of:
-            fail_first({j: {"*": f"attribute {name!r} uses '*' but declares no @domain"}})
-        observed: set[str] = set()
-        for cell in cells_of.values():
-            if isinstance(cell, Known):
-                observed.add(cell.value)
-            elif isinstance(cell, Partial):
-                observed |= cell.values
-        if not observed:
-            raise TableParseError(f"cannot infer a domain for attribute {name!r}")
-        warnings.warn(
-            f"domain of {name!r} inferred from observed tokens", DomainInferenceWarning, stacklevel=2
-        )
-        domains[name] = tuple(sorted(observed))
-
-    for j, (name, cells_of) in enumerate(zip(attr_names, parsed)):
-        domain = set(domains[name])
-        for token, cell in cells_of.items():
-            if isinstance(cell, Known) and cell.value not in domain:
-                bad.setdefault(j, {})[token] = f"value {cell.value!r} outside the domain of {name!r}"
-            elif isinstance(cell, Partial) and not cell.values <= domain:
-                stray = sorted(cell.values - domain)
-                bad.setdefault(j, {})[token] = f"values {stray!r} outside the domain of {name!r}"
-    if bad:
-        fail_first(bad)
-
-    # Equal cells of an attribute, such as {0|1} and {1|0}, share one code.
+    # One pass per attribute: its domain (declared, or inferred from its
+    # cells), its out-of-domain tokens, its schema and its column codes.
+    schemas = []
     cell_columns = {}
-    for name, cells_of, column in zip(attr_names, parsed, columns):
+    for j, (name, cells_of, column) in enumerate(zip(attr_names, parsed, columns)):
+        if name in declared:
+            domain = declared[name]
+        else:
+            if "*" in cells_of:
+                fail_first({j: {"*": f"attribute {name!r} uses '*' but declares no @domain"}})
+            observed: set[str] = set()
+            for cell in cells_of.values():
+                if isinstance(cell, Known):
+                    observed.add(cell.value)
+                elif isinstance(cell, Partial):
+                    observed |= cell.values
+            if not observed:
+                raise TableParseError(f"cannot infer a domain for attribute {name!r}")
+            warnings.warn(
+                f"domain of {name!r} inferred from observed tokens", DomainInferenceWarning, stacklevel=2
+            )
+            domain = tuple(sorted(observed))
+        allowed = set(domain)
+        for token, cell in cells_of.items():
+            if isinstance(cell, Known) and cell.value not in allowed:
+                bad.setdefault(j, {})[token] = f"value {cell.value!r} outside the domain of {name!r}"
+            elif isinstance(cell, Partial) and not cell.values <= allowed:
+                stray = sorted(cell.values - allowed)
+                bad.setdefault(j, {})[token] = f"values {stray!r} outside the domain of {name!r}"
+        schemas.append(AttributeSchema(name, domain))
+        # Equal cells, such as {0|1} and {1|0}, share one code.
         index: dict[Cell, int] = {}
         code_of = {token: index.setdefault(cell, len(index)) for token, cell in cells_of.items()}
         cell_columns[name] = (tuple(index), tuple(map(code_of.__getitem__, column)))
-    schemas = tuple(AttributeSchema(name, domains[name]) for name in attr_names)
+    if bad:
+        fail_first(bad)
+
     objects = tuple(positions)
-    return IncompleteTable(objects, schemas, _Cells(objects, positions, cell_columns))
+    return IncompleteTable(objects, tuple(schemas), _Cells(objects, positions, cell_columns))
 
 
 def _parse_cell(token: str, attr: str, attr_names: list[str]) -> Cell:

@@ -101,8 +101,7 @@ class TestRegionsCommand:
             "regions", "--table", COMPLETE6, "--method", "eq-complete",
             "--class", "x1,x2", "--tnorm", "prod",
         )
-        assert code == 0
-        assert "ignored" in err
+        assert (code, err) == (0, "warning: --tnorm/--alpha ignored for method eq-complete\n")
 
     def test_attribute_subset(self, capsys):
         code, out, _ = run(
@@ -497,6 +496,44 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == run(capsys, *common, "--attrs", "nope")[2] == "error: unknown attribute 'nope'\n"
         assert run(capsys, *common, "--strip-na-atoms", "a1")[0] == 0
+
+
+class TestWarnings:
+    """Warnings reach stderr as ``warning:`` lines, never as Python warnings."""
+
+    # No @domain: the domains of a and d are inferred, in attribute order.
+    INFERRED = "@attributes a d\n@objects\nx1 1 yes\nx2 {1|2} no\nx3 2 yes\n"
+    ARGV = ("rules", "--method", "confidence", "--alpha", "1/2", "--class-column", "d", "--class-value", "yes")
+    WARNINGS = (
+        "warning: domain of 'a' inferred from observed tokens\n"
+        "warning: domain of 'd' inferred from observed tokens\n"
+    )
+
+    def test_inferred_domains_are_warning_lines(self, capsys, tmp_path):
+        table = tmp_path / "t.itab"
+        table.write_text(self.INFERRED)
+        code, out, err = run(capsys, *self.ARGV, "--table", str(table))
+        assert (code, out, err) == (0, "(A) (a=1)\n(A) (a=2)\n(N) otherwise\n", self.WARNINGS)
+
+    def test_warnings_precede_the_parse_error(self, capsys, tmp_path):
+        table = tmp_path / "t.itab"
+        table.write_text(self.INFERRED + "x4 3 *\n")
+        code, out, err = run(capsys, *self.ARGV, "--table", str(table))
+        assert (code, out) == (2, "")
+        assert err == (
+            "warning: domain of 'a' inferred from observed tokens\n"
+            "error: line 6, column 6: attribute 'd' uses '*' but declares no @domain\n"
+        )
+
+    def test_warnings_as_errors_do_not_stop_the_run(self, capsys, tmp_path):
+        table = tmp_path / "t.itab"
+        table.write_text(self.INFERRED)
+        _, out, _ = run(capsys, *self.ARGV, "--table", str(table))
+        result = subprocess.run(
+            [sys.executable, "-m", "threeway", *self.ARGV, "--table", str(table)],
+            capture_output=True, text=True, env=subprocess_env(PYTHONWARNINGS="error"), timeout=30,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, self.WARNINGS)
 
 
 class TestEntryPoints:

@@ -255,8 +255,7 @@ def test_only_the_kernels_skip_the_checks():
     atoms are valid by construction."""
     allowed = {
         ("satisfiability.py", "strict_degrees"),
-        ("satisfiability.py", "description_regions_alpha_meaning"),
-        ("satisfiability.py", "description_regions_confidence"),
+        ("satisfiability.py", "_search"),
         ("similarity.py", "_describer"),
         ("cli.py", "_strip_na_atoms"),
     }

@@ -1,7 +1,8 @@
 """The lean import: ``import threeway.cli`` leaves the oracle unloaded and
-processes no ``@dataclass`` outside the table module and ``Partition``;
-the oracle's names load on first use; and the value records, now named
-tuples, keep their reprs, defaults, methods, copies and pickles.
+processes no ``@dataclass`` outside the table module; the oracle's names
+load on first use; the package's ``similarity`` stays the reference
+function; and the value records, now named tuples, keep their reprs,
+defaults, methods, copies and pickles.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from threeway import (
     Decision,
     DescribedSet,
     Formula,
+    Partition,
     Provenance,
     Rule,
     RuleSet,
@@ -85,6 +87,10 @@ RECORDS = [
         f"provenance={PROV_TEXT}),), default=<Decision.ACCEPT: 'accept'>)",
     ),
     (
+        Partition((frozenset({"x1"}), frozenset({"x2"}))),
+        "Partition(blocks=(frozenset({'x1'}), frozenset({'x2'})))",
+    ),
+    (
         StructuredRegions(frozenset({frozenset({"x1"})}), frozenset(), frozenset()),
         "StructuredRegions(pos=frozenset({frozenset({'x1'})}), neg=frozenset(), bnd=frozenset())",
     ),
@@ -124,8 +130,23 @@ def _probe() -> dict:
 def test_cli_import_leaves_the_oracle_and_the_records_out():
     found = _probe()
     assert found["oracle"] is False
-    allowed = {f"threeway.table.{name}" for name in TABLE_DATACLASSES} | {"threeway.complete.Partition"}
+    allowed = {f"threeway.table.{name}" for name in TABLE_DATACLASSES}
     assert set(found["dataclasses"]) <= allowed, found["dataclasses"]
+
+
+def test_package_similarity_stays_the_reference_function():
+    # Importing the submodule binds the package attribute to the module only
+    # on its first load, which ``threeway/__init__`` does before binding the
+    # name to the function; a PEP 562 ``__getattr__`` would not be consulted.
+    probe = (
+        "import threeway.cli, threeway.similarity, sys\n"
+        "from threeway import similarity\n"
+        "print(similarity is sys.modules['threeway.similarity'].similarity)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=SRC, check=True, capture_output=True, text=True
+    ).stdout
+    assert out == "True\n"
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
@@ -173,6 +194,16 @@ def test_record_methods():
     assert OracleReport("c", "i", Fraction(1, 2), Fraction(1, 2)).passed is True
     assert OracleReport("c", "i", Fraction(1, 2), Fraction(1, 3)).passed is False
     assert pickle.loads(pickle.dumps(OracleReport("c", "i", 1, 2))).passed is False
+
+
+def test_partition_hash_equality_and_block_of():
+    blocks = (frozenset({"x1", "x3"}), frozenset({"x2"}))
+    p = Partition(blocks)
+    assert p == Partition(blocks) and p != Partition(blocks[::-1])
+    assert hash(p) == hash((blocks,))  # the hash of the dataclass it replaced
+    assert p.block_of("x3") is blocks[0]
+    with pytest.raises(threeway.UnknownIdError, match="^object 'x9' not in this partition$"):
+        p.block_of("x9")
 
 
 def test_records_are_read_only():

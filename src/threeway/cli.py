@@ -287,14 +287,15 @@ def _cmd_regions(args) -> int:
     st, key, structured, dpos, dneg, provenance = _method_regions(args)
     if structured is not None:
         payload = {name: _block_lists(st, getattr(structured, name)) for name in ("pos", "neg", "bnd")}
-        lines = [f"{name} {{{','.join(block)}}}" for name, blocks in payload.items() for block in blocks]
     else:
-        pos, neg = sorted(dpos, key=key), sorted(dneg, key=key)
-        payload = {"dpos": pos, "dneg": neg}
-        lines = [f"DPOS {render_formula(p)}" for p in pos] + [f"DNEG {render_formula(p)}" for p in neg]
+        payload = {"dpos": sorted(dpos, key=key), "dneg": sorted(dneg, key=key)}
     if args.format == "json":
         _emit(args, payload)
         return 0
+    if structured is not None:
+        lines = [f"{name} {{{','.join(block)}}}" for name, blocks in payload.items() for block in blocks]
+    else:
+        lines = [f"{name.upper()} {render_formula(p)}" for name, ps in payload.items() for p in ps]
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     lines.append(render_rules(ruleset, "text").rstrip("\n"))
     _emit(args, "\n".join(lines) + "\n")

@@ -35,8 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, check_kind, degree_terms, implication, negate, tnorm
 from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size, formula_sort_key_for
-from .similarity import _bits
-from .table import NA, SetValuedTable
+from .table import NA, SetValuedTable, _bits
 
 
 class SatProfile(NamedTuple):

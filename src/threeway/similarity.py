@@ -29,13 +29,13 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache, reduce
-from operator import and_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import and_, getitem
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardExceededError, UnknownIdError
 from .fuzzy import ONE, TNorm, as_degree, check_kind, degree_terms, implication, tnorm
 from .language import DEFAULT_MAX_FORMULAS, Atom, Formula, _formula
-from .table import NA, SetValuedTable
+from .table import NA, SetValuedTable, _bits
 
 
 class SimilarityMatrix(NamedTuple):
@@ -87,7 +87,7 @@ def similarity_matrix(st: SetValuedTable, attrs: Sequence[str], kind: TNorm) -> 
     between distinct rows, which fold the kernel's cell-pair degrees."""
     attrs = st.attr_subset(attrs)
     check_kind(kind)
-    rows = _Rows(st, attrs, frozenset())
+    rows = _Rows(st, attrs)
     if kind is TNorm.MIN:
         # Each cell pair's degree as its rank among all cell-pair degrees.
         values = sorted({Fraction(*p) for table in rows.pairs for line in table for p in line})
@@ -152,21 +152,15 @@ def description_regions_alpha_sim(
     members = st.class_set(x_set)
     attrs = st.attr_subset(attrs)
     a, b = degree_terms(alpha)
-    check_kind(kind)
-    rows = _Rows(st, attrs, members)
-    # Under min these are the alpha-similar rows; a product is at most the
-    # minimum of its factors, so under prod only they can be.
-    near = rows.within(lambda n, d: n * b >= a * d)
 
-    def decide(s, inside):
+    def judge(others):
         # The class of x holds x; it stays on x's side unless some object
-        # of the other side is alpha-similar to x.
-        similar = near[s] & rows.other_bits[inside]
-        if kind is TNorm.PRODUCT:
-            similar = any(n * b >= a * d for n, d in (rows.product(s, t) for t in _bits(similar)))
-        return inside and not similar, not inside and not similar
+        # of the other side is alpha-similar to x. Under min every
+        # candidate is; a product is at most the minimum of its factors,
+        # so under prod only a candidate can be.
+        return not (others if kind is TNorm.MIN else any(n * b >= a * d for n, d, _ in others)), False
 
-    return _object_regions(st, attrs, members, rows, decide, max_formulas)
+    return _object_regions(st, attrs, members, kind, lambda n, d: n * b >= a * d, judge, max_formulas)
 
 
 def approximability(
@@ -240,34 +234,25 @@ def description_regions_approx(
     members = st.class_set(x_set)
     attrs = st.attr_subset(attrs)
     a, b = degree_terms(alpha)
-    check_kind(kind)
-    rows = _Rows(st, attrs, members)
-    # Under min, 1 - G >= alpha fails exactly where G > 1 - alpha; under
-    # prod, only rows of degree above 0 bring the product below 1.
+    # The closed forms of :func:`approximability_closed`: toward x's own side
+    # 1 - G folds over the other side; toward the other side the degree is 0,
+    # as G(x, x) = 1, which reaches alpha only at alpha = 0. Under min a
+    # candidate (G > 1 - alpha) decides; under prod every candidate (G > 0)
+    # folds in, unless alpha = 0, which every product reaches.
     lowers = (lambda n, d: n * b > (b - a) * d) if kind is TNorm.MIN else (lambda n, d: n > 0)
-    near = rows.within(lowers)
 
-    def decide(s, inside):
-        # The closed forms of :func:`approximability_closed`: the degree
-        # toward x's own side folds 1 - G over the other side, and the
-        # degree toward the other side is 0, since G(x, x) = 1, which
-        # reaches alpha only at alpha = 0.
-        others = near[s] & rows.other_bits[inside]
+    def judge(others):
         if kind is TNorm.MIN:
-            toward = not others
-        else:
-            num = den = 1
-            counts = rows.others[inside]
-            for t in _bits(others):
-                n, d = rows.product(s, t)
-                num *= (d - n) ** counts[t]
-                den *= d ** counts[t]
-                if num * b < a * den:
-                    break  # every further factor is at most 1
-            toward = num * b >= a * den
-        return (toward, not a) if inside else (not a, toward)
+            return not others, not a
+        num = den = 1
+        for n, d, count in others if a else ():
+            num *= (d - n) ** count
+            den *= d**count
+            if num * b < a * den:
+                break  # every further factor is at most 1
+        return num * b >= a * den, not a
 
-    return _object_regions(st, attrs, members, rows, decide, max_formulas)
+    return _object_regions(st, attrs, members, kind, lowers, judge, max_formulas)
 
 
 # --------------------------------------------------------------------------
@@ -276,19 +261,10 @@ def description_regions_approx(
 # Python ints, and thresholds are compared by cross-multiplying.
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Rows:
-    """The distinct rows of ``st`` on ``attrs``, and the objects of each row
-    on either side of the class ``members``."""
+    """The distinct rows of ``st`` on ``attrs``."""
 
-    def __init__(self, st: SetValuedTable, attrs: tuple[str, ...], members: frozenset[str]):
+    def __init__(self, st: SetValuedTable, attrs: tuple[str, ...]):
         # A row is the tuple of the table's own cell codes on attrs.
         columns = [st.column(a) for a in attrs]
         index: dict[tuple[int, ...], int] = {}
@@ -297,13 +273,6 @@ class _Rows:
         # pairs[i][c][e]: |c & e| and |c| * |e| for the cells coded c and e
         # on attrs[i]; two different objects sharing cell c get 1/|c|.
         self.pairs = [[[(len(c & e), len(c) * len(e)) for e in cs] for c in cs] for cs, _ in columns]
-        # others[inside][t]: objects of row t on the other side from an
-        # object whose membership is ``inside``, which is never counted;
-        # other_bits[inside] has the rows where that is above 0.
-        self.others = ([0] * len(self.rows), [0] * len(self.rows))
-        for x, t in zip(st.objects, self.row_of):
-            self.others[x not in members][t] += 1
-        self.other_bits = tuple(sum(1 << t for t, k in enumerate(ks) if k) for ks in self.others)
 
     def within(self, test) -> list[int]:
         """Per row, the bitset of the rows whose cell passes ``test(num, den)``
@@ -314,7 +283,7 @@ class _Rows:
             for t, row in enumerate(self.rows):
                 holders[row[i]] |= 1 << t
             by_cell.append([sum(h for h, p in zip(holders, line) if test(*p)) for line in table])
-        return [reduce(and_, (cells[c] for cells, c in zip(by_cell, row))) for row in self.rows]
+        return [reduce(and_, map(getitem, by_cell, row)) for row in self.rows]
 
     def product(self, s: int, t: int) -> tuple[int, int]:
         """The PRODUCT degree of different objects of rows s and t."""
@@ -325,18 +294,40 @@ class _Rows:
         return num, den
 
 
-def _object_regions(st, attrs, members, rows, decide, max_formulas):
-    """Union of the descriptions of the objects that ``decide(s, inside)``
-    puts in each region (positive, negative), given the object's row ``s``
-    and class membership. A row's objects share their descriptions, which
-    are added at its first object in each region, in object order; so the
-    description guard fires on the object a per-object evaluation would."""
-    decide = cache(decide)
+def _object_regions(st, attrs, members, kind, test, judge, max_formulas):
+    """Union of the descriptions of the objects that ``judge`` puts in each
+    region (positive, negative).
+
+    An object's candidates are the rows within ``test`` of its row that
+    hold objects on the other side of the class ``members``. ``judge`` gets
+    them as a lazy stream of (PRODUCT degree numerator, denominator, number
+    of those objects), one item per row and false when empty, so a judge
+    that needs only their existence forms no product. It returns whether
+    the object is in its own side's region and in the other side's; objects
+    of one row and membership share that, so it is asked once, at the first.
+    A row's objects share their descriptions, which are added at its first
+    object in each region, in object order; so the description guard fires
+    on the object a per-object evaluation would."""
+    check_kind(kind)
+    rows = _Rows(st, attrs)
+    near = rows.within(test)
+    # others[inside][t]: objects of row t on the other side from an object
+    # whose membership is ``inside``; other_bits[inside]: the rows where that
+    # is above 0; first[s, inside]: row s's first object with that membership.
+    others = ([0] * len(rows.rows), [0] * len(rows.rows))
+    first: dict[tuple[int, bool], int] = {}
+    for i, (x, s) in enumerate(zip(st.objects, rows.row_of)):
+        inside = x in members
+        others[not inside][s] += 1
+        first.setdefault((s, inside), i)
+    other_bits = tuple(sum(1 << t for t, k in enumerate(ks) if k) for ks in others)
     describe = _describer(st, attrs)
     regions: tuple[set[Formula], set[Formula]] = (set(), set())
     added: set[tuple[int, int]] = set()
-    for i, (x, s) in enumerate(zip(st.objects, rows.row_of)):
-        for side, hit in enumerate(decide(s, x in members)):
+    for (s, inside), i in first.items():
+        counts, mask = others[inside], near[s] & other_bits[inside]
+        own, other = judge(((*rows.product(s, t), counts[t]) for t in _bits(mask)) if mask else ())
+        for side, hit in enumerate((own, other) if inside else (other, own)):
             if hit and (s, side) not in added:
                 added.add((s, side))
                 regions[side].update(describe(i, max_formulas))

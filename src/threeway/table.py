@@ -135,6 +135,14 @@ def _first_bad(columns: Sequence[Sequence], bad: Mapping[int, Mapping]) -> tuple
     return min((next(i for i, v in enumerate(columns[j]) if v in bad_j), j) for j, bad_j in bad.items())
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """Objects x attributes grid: shape checks, O(1) id indexes, and the

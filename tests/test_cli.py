@@ -136,6 +136,28 @@ class TestRegionsCommand:
             ["a2=1&a3=0", "a2=2&a3=0", "a2=3&a3=0"]
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--method", "alpha-sim", "--tnorm", "min", "--alpha", "0.3"),
+            ("--method", "confidence", "--tnorm", "prod", "--alpha", "0.6"),
+        ],
+    )
+    def test_json_renders_no_formula_text(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(p, _original=threeway.cli.render_formula):
+            calls.append(p)
+            return _original(p)
+
+        monkeypatch.setattr(threeway.cli, "render_formula", counted)
+        code, out, _ = run(
+            capsys, "regions", "--table", SETVALUED8, *argv, "--class", "x1,x2,x3,x4", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["dpos"]
+        assert calls == []
+
 
 class TestRulesCommand:
     def test_description_route_rule_list(self, capsys):

@@ -1,12 +1,14 @@
 """The lean import: ``import threeway.cli`` leaves the oracle unloaded and
 processes no ``@dataclass`` outside the table module; the oracle's names
 load on first use; the package's ``similarity`` stays the reference
-function; and the value records, now named tuples, keep their reprs,
-defaults, methods, copies and pickles.
+function; the two incomplete-table routes import neither each other;
+and the value records, now named tuples, keep their reprs, defaults,
+methods, copies and pickles.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
 import pickle
@@ -147,6 +149,26 @@ def test_package_similarity_stays_the_reference_function():
         [sys.executable, "-c", probe], cwd=SRC, check=True, capture_output=True, text=True
     ).stdout
     assert out == "True\n"
+
+
+def _imported_modules(path) -> set[str]:
+    """Last dotted component of every module that ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import m`` and ``from threeway import m`` name modules.
+            if node.module in (None, "threeway"):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.rsplit(".", 1)[-1])
+    return found
+
+
+@pytest.mark.parametrize("route,other", [("similarity", "satisfiability"), ("satisfiability", "similarity")])
+def test_routes_do_not_import_each_other(route, other):
+    assert other not in _imported_modules(SRC / "threeway" / f"{route}.py")
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction as Fr
 
@@ -252,3 +253,37 @@ class TestApproxRegions:
             everything |= cdes(setvalued8, ATTR_ORDER, x)
         assert dpos == everything
         assert dneg == everything
+
+    def test_product_at_zero_threshold_forms_no_product(self, setvalued8, class4, product_calls):
+        # At alpha 0 the closed forms put every object on its own side.
+        dpos, dneg = description_regions_approx(setvalued8, ATTR_ORDER, 0, class4, TNorm.PRODUCT)
+        assert product_calls == []
+        everything = frozenset().union(*(cdes(setvalued8, ATTR_ORDER, x) for x in OBJECTS))
+        assert dpos == dneg == everything
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The row pairs whose PRODUCT degree the similarity kernel forms. The
+    package attribute ``similarity`` is the reference function, so the
+    module is imported by name."""
+    module = importlib.import_module("threeway.similarity")
+    calls = []
+    original = module._Rows.product
+
+    def counted(self, s, t):
+        calls.append((s, t))
+        return original(self, s, t)
+
+    monkeypatch.setattr(module._Rows, "product", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "builder,alpha", [(description_regions_alpha_sim, Fr(3, 10)), (description_regions_approx, Fr(4, 5))]
+)
+def test_min_forms_no_product(setvalued8, class4, product_calls, builder, alpha):
+    # Under min a candidate's existence decides; its degree is never read.
+    dpos, dneg = builder(setvalued8, ATTR_ORDER, alpha, class4, TNorm.MIN)
+    assert product_calls == []
+    assert dpos or dneg

@@ -4,6 +4,10 @@ Subcommands: ``regions``, ``rules``, ``similarity``, ``satisfiability``,
 and ``oracle-check``. Exit codes: 0 success, 1 invalid configuration,
 2 table parse error, 3 size guard exceeded, 4 oracle check failure.
 Output bytes are deterministic for a fixed configuration.
+
+:func:`main` is the one pipeline: it loads the ``--table``, passes it to
+the subcommand's handler, ``(args, table) -> (output, exit code)``, and
+writes the output (text, or a payload for ``write_json``) once.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage problems itself
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        output, code = args.handler(args, _load_table(args))
+        _emit(args, output)
+        return code
     except TableParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -87,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     similarity = sub.add_parser("similarity", help="print the pairwise similarity matrix")
     _add_table_options(similarity)
-    similarity.add_argument("--tnorm", choices=[k.value for k in TNorm], default=None)
+    similarity.add_argument("--tnorm", choices=[k.value for k in TNorm], default="min")
     similarity.add_argument("--exact", action="store_true", help="print exact fractions in text mode")
     similarity.set_defaults(handler=_cmd_similarity)
 
@@ -95,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "satisfiability", help="print per-formula satisfiability degrees"
     )
     _add_table_options(satisfiability)
-    satisfiability.add_argument("--tnorm", choices=[k.value for k in TNorm], default=None)
+    satisfiability.add_argument("--tnorm", choices=[k.value for k in TNorm], default="min")
     satisfiability.add_argument("--max-formulas", type=_cap, default=DEFAULT_MAX_FORMULAS)
     satisfiability.set_defaults(handler=_cmd_satisfiability)
 
@@ -181,13 +187,13 @@ def _resolve_attrs(args, st: SetValuedTable, exclude: str | None = None) -> tupl
 
 def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str | None]:
     """Returns (class set, printable label, excluded decision column)."""
-    if args.class_ids and args.class_column:
+    if args.class_ids is not None and args.class_column:
         raise ValueError("use either --class or --class-column, not both")
     if args.class_column and args.class_value is None:
         raise ValueError("--class-column requires --class-value")
     if args.class_value is not None and not args.class_column:
         raise ValueError("--class-value requires --class-column")
-    if args.class_ids:
+    if args.class_ids is not None:
         members = st.class_set(_split_csv(args.class_ids))
         return members, ",".join(sorted(members, key=st.position)), None
     if args.class_column:
@@ -247,15 +253,14 @@ def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def _method_regions(args):
+def _method_regions(args, st):
     """The part of a ``rules`` or ``regions`` run that every method shares.
 
-    Returns the table, the formula sort key, eq-complete's structured
+    Returns the formula sort key, eq-complete's structured
     regions (None for the other methods), the method's (DPOS, DNEG) with
     the ``--strip-na-atoms`` atoms dropped, and the rules' provenance.
     """
     method = args.method
-    st = _load_table(args)
     members, label, excluded = _resolve_class(args, st)
     attrs = _resolve_attrs(args, st, exclude=excluded)
     list(map(st.schema, args.strip_na_atoms or ()))  # unknown names fail as --attrs does
@@ -275,7 +280,7 @@ def _method_regions(args):
     if args.strip_na_atoms is not None:
         dpos, dneg = (_strip_na_atoms(d, args.strip_na_atoms, attrs) for d in (dpos, dneg))
     provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
-    return st, formula_sort_key_for(tuple(map(st.schema, attrs))), structured, dpos, dneg, provenance
+    return formula_sort_key_for(tuple(map(st.schema, attrs))), structured, dpos, dneg, provenance
 
 
 def _block_lists(st, blocks) -> list[list[str]]:
@@ -283,90 +288,78 @@ def _block_lists(st, blocks) -> list[list[str]]:
     return sorted(ordered, key=lambda block: st.position(block[0]))
 
 
-def _cmd_regions(args) -> int:
-    st, key, structured, dpos, dneg, provenance = _method_regions(args)
+def _cmd_regions(args, st):
+    key, structured, dpos, dneg, provenance = _method_regions(args, st)
     if structured is not None:
         payload = {name: _block_lists(st, getattr(structured, name)) for name in ("pos", "neg", "bnd")}
     else:
         payload = {"dpos": sorted(dpos, key=key), "dneg": sorted(dneg, key=key)}
     if args.format == "json":
-        _emit(args, payload)
-        return 0
+        return payload, 0
     if structured is not None:
         lines = [f"{name} {{{','.join(block)}}}" for name, blocks in payload.items() for block in blocks]
     else:
         lines = [f"{name.upper()} {render_formula(p)}" for name, ps in payload.items() for p in ps]
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     lines.append(render_rules(ruleset, "text").rstrip("\n"))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_rules(args) -> int:
-    _, key, _, dpos, dneg, provenance = _method_regions(args)
+def _cmd_rules(args, st):
+    key, _, dpos, dneg, provenance = _method_regions(args, st)
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
-    _emit(args, _payload(ruleset) if args.format == "json" else render_rules(ruleset, "text"))
-    return 0
+    return _payload(ruleset) if args.format == "json" else render_rules(ruleset, "text"), 0
 
 
-def _cmd_similarity(args) -> int:
-    st = _load_table(args)
-    attrs = _resolve_attrs(args, st)
-    kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
-    matrix = similarity_matrix(st, attrs, kind)
+def _cmd_similarity(args, st):
+    kind = TNorm(args.tnorm)
+    matrix = similarity_matrix(st, _resolve_attrs(args, st), kind)
     # Few distinct degrees: each is rendered once, keyed on its terms, as hashing a Fraction is slow.
     fmt = format_exact if args.exact or args.format == "json" else format_decimal
     render = cache(lambda num, den: fmt(Fraction(num, den)))
     degrees = ([matrix.entries[x, y] for y in matrix.objects] for x in matrix.objects)
     cells = [[render(g.numerator, g.denominator) for g in row] for row in degrees]
     if args.format == "json":
-        payload = {"objects": list(matrix.objects), "attrs": list(matrix.attrs), "tnorm": kind.value,
-                   "entries": cells}
-        _emit(args, payload)
-        return 0
+        return {"objects": list(matrix.objects), "attrs": list(matrix.attrs), "tnorm": kind.value,
+                "entries": cells}, 0
     width = max(len(c) for row in [*cells, matrix.objects] for c in row)
     header = " " * width + " " + " ".join(f"{y:>{width}}" for y in matrix.objects)
     lines = [header]
     for x, row in zip(matrix.objects, cells):
         lines.append(f"{x:>{width}} " + " ".join(f"{c:>{width}}" for c in row))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_satisfiability(args) -> int:
-    st = _load_table(args)
+def _cmd_satisfiability(args, st):
     attrs = _resolve_attrs(args, st)
-    kind = TNorm(args.tnorm) if args.tnorm else TNorm.MIN
+    kind = TNorm(args.tnorm)
     # Degrees are 1/N; each distinct N is rendered once.
     render = cache(lambda n: format_exact(Fraction(1, n)))
     entries = [(f"p{i}", p, {x: render(n) for x, n in ns.items()})
                for i, (p, ns) in enumerate(strict_degrees(st, attrs, kind, args.max_formulas), start=1)]
     if args.format == "json":
-        payload = [{"label": label, "formula": p, "tnorm": kind.value, "degrees": nonzero}
-                   for label, p, nonzero in entries]
-        _emit(args, payload)
-        return 0
+        return [{"label": label, "formula": p, "tnorm": kind.value, "degrees": nonzero}
+                for label, p, nonzero in entries], 0
     lines = []
     for label, p, nonzero in entries:
         shown = " ".join(f"{x}:{d}" for x, d in nonzero.items())
         lines.append(f"{label}\t{render_formula(p)}\t{shown}".rstrip())
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, st):
     from .oracle import run_all_checks
 
-    st = _load_table(args)
     attrs = _resolve_attrs(args, st)
-    members = st.class_set(_split_csv(args.class_ids)) if args.class_ids else None
-    alpha = parse_degree(args.alpha) if args.alpha else None
+    members = None if args.class_ids is None else st.class_set(_split_csv(args.class_ids))
+    alpha = None if args.alpha is None else parse_degree(args.alpha)
     reports = run_all_checks(
         st, attrs, x_set=members, alpha=alpha, max_worlds=args.max_worlds
     )
     failures = [r for r in reports if not r.passed]
+    code = 4 if failures else 0
     if args.format == "json":
-        payload = [
+        return [
             {
                 "check": r.check,
                 "inputs": r.inputs,
@@ -375,23 +368,20 @@ def _cmd_oracle(args) -> int:
                 "actual": _summary(r.actual),
             }
             for r in reports
-        ]
-        _emit(args, payload)
-    else:
-        lines = []
-        by_check: dict[str, list] = {}
-        for r in reports:
-            by_check.setdefault(r.check, []).append(r)
-        for check, group in by_check.items():
-            ok = sum(1 for r in group if r.passed)
-            lines.append(f"{check}: {ok}/{len(group)} ok")
-        for r in failures:
-            lines.append(
-                f"FAIL {r.check} [{r.inputs}] expected={_summary(r.expected)} "
-                f"actual={_summary(r.actual)}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return 4 if failures else 0
+        ], code
+    by_check: dict[str, list] = {}
+    for r in reports:
+        by_check.setdefault(r.check, []).append(r)
+    lines = []
+    for check, group in by_check.items():
+        ok = sum(1 for r in group if r.passed)
+        lines.append(f"{check}: {ok}/{len(group)} ok")
+    for r in failures:
+        lines.append(
+            f"FAIL {r.check} [{r.inputs}] expected={_summary(r.expected)} "
+            f"actual={_summary(r.actual)}"
+        )
+    return "\n".join(lines) + "\n", code
 
 
 def _summary(value) -> str:

@@ -128,21 +128,21 @@ def enumerate_cdl(
 ) -> list[Formula]:
     """Enumerate every formula over the given attributes exactly once.
 
-    Deterministic order: by atom count, then by attribute positions, then
-    by value positions in domain order. The total count matches
-    :func:`cdl_size`.
+    Deterministic order: by atom count, then lexicographically by the
+    (attribute position, value position) pairs of the atoms, values in
+    domain order with ``NA`` last; this is :func:`formula_sort_key_for`'s
+    order. The total count matches :func:`cdl_size`.
     """
     check_cdl_size(schemas, mode, max_formulas)
+    alphabets = [[Atom(s.name, v) for v in _alphabet(s, mode)] for s in schemas]
+    # Breadth first over the set-enumeration tree, whose children add one
+    # atom on a later attribute: each level comes out in key order.
     out: list[Formula] = []
-    indices = range(len(schemas))
-    for size in range(1, len(schemas) + 1):
-        for combo in itertools.combinations(indices, size):
-            alphabets = [_alphabet(schemas[i], mode) for i in combo]
-            for values in itertools.product(*alphabets):
-                out.append(
-                    Formula(tuple(Atom(schemas[i].name, v) for i, v in zip(combo, values)))
-                )
-    out.sort(key=formula_sort_key_for(schemas))
+    level = [((), 0)]  # (atoms, position of the first attribute a child may add)
+    while level:
+        level = [((*atoms, atom), i + 1) for atoms, start in level
+                 for i in range(start, len(schemas)) for atom in alphabets[i]]
+        out.extend(Formula(atoms) for atoms, _ in level)
     return out
 
 

@@ -309,6 +309,29 @@ class TestSatisfiabilityCommand:
         assert "x4:1/3" in lines["p13"]
 
 
+class TestTNormDefault:
+    """Leaving out --tnorm means min, on every subcommand that takes a T-norm."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("regions", "--method", "confidence", "--alpha", "0.6", "--class", "x1,x2,x3,x4"),
+            ("similarity",),
+            ("satisfiability",),
+        ],
+        ids=["regions", "similarity", "satisfiability"],
+    )
+    def test_default_is_min(self, capsys, argv, fmt):
+        common = (*argv, "--table", SETVALUED8, "--format", fmt)
+        default, with_min, with_prod = (
+            run(capsys, *common, *tnorm) for tnorm in ((), ("--tnorm", "min"), ("--tnorm", "prod"))
+        )
+        assert default == with_min
+        assert default[0] == 0
+        assert with_prod[1] != default[1]
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.itab"
@@ -405,6 +428,15 @@ class TestExitCodes:
         assert "28/28 ok" in out
 
     @pytest.mark.parametrize(
+        "flag,message",
+        [("--alpha", "error: cannot parse degree from ''"), ("--class", "error: empty comma-separated list")],
+    )
+    def test_oracle_empty_value_is_1(self, capsys, flag, message):
+        """An empty value is given, not absent: it does not fall back to the default."""
+        code, out, err = run(capsys, "oracle-check", "--table", SETVALUED8, flag, "")
+        assert (code, out, err) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize(
         "command,flag",
         [
             ("regions", "--max-formulas"),
@@ -484,10 +516,16 @@ class TestExitCodes:
             (("--class-value", "yes"), "error: --class-value requires --class-column"),
             (("--class", "x1", "--class-value", "yes"), "error: --class-value requires --class-column"),
             ((), "error: a class is required: pass --class or --class-column/--class-value"),
+            (("--class", ""), "error: empty comma-separated list"),
+            (
+                ("--class", "", "--class-column", "d", "--class-value", "yes"),
+                "error: use either --class or --class-column, not both",
+            ),
         ],
         ids=[
             "non-integer-cap", "empty-attrs", "decision-column-in-attrs", "class-and-class-column",
             "class-column-alone", "class-value-alone", "class-and-class-value", "no-class",
+            "empty-class", "empty-class-and-class-column",
         ],
     )
     def test_configuration_error_is_1(self, capsys, command, argv, message):

@@ -187,16 +187,16 @@ def _resolve_attrs(args, st: SetValuedTable, exclude: str | None = None) -> tupl
 
 def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str | None]:
     """Returns (class set, printable label, excluded decision column)."""
-    if args.class_ids is not None and args.class_column:
+    if args.class_ids is not None and args.class_column is not None:
         raise ValueError("use either --class or --class-column, not both")
-    if args.class_column and args.class_value is None:
+    if args.class_column is not None and args.class_value is None:
         raise ValueError("--class-column requires --class-value")
-    if args.class_value is not None and not args.class_column:
+    if args.class_value is not None and args.class_column is None:
         raise ValueError("--class-value requires --class-column")
     if args.class_ids is not None:
         members = st.class_set(_split_csv(args.class_ids))
         return members, ",".join(sorted(members, key=st.position)), None
-    if args.class_column:
+    if args.class_column is not None:
         column = args.class_column
         cells, codes = st.column(column)
         if args.class_value not in st.schema(column).domain:
@@ -228,7 +228,7 @@ def _resolve_kind_alpha(args, method: str) -> tuple[TNorm, Fraction | None]:
 def _emit(args, payload) -> None:
     """Write ``payload`` to ``--out`` (UTF-8 text) or to stdout: a ``str``
     as it is, any other payload through ``write_json``."""
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as f:
+    with open(args.out, "w", encoding="utf-8") if args.out is not None else nullcontext(sys.stdout) as f:
         if isinstance(payload, str):
             f.write(payload)
         else:

@@ -255,6 +255,8 @@ class IncompleteTable(_Grid):
     cells: Mapping[tuple[str, str], Cell]
 
     def _problem(self, name: str, cell: Cell, domain: set[str]) -> str | None:
+        if not isinstance(cell, Cell):
+            return f": {cell!r} is not a cell"
         if isinstance(cell, Known) and cell.value not in domain:
             return f": value {cell.value!r} outside domain"
         if isinstance(cell, Partial) and not cell.values <= domain:
@@ -276,6 +278,8 @@ class SetValuedTable(_Grid):
     cells: Mapping[tuple[str, str], frozenset[str]]
 
     def _problem(self, name: str, values: frozenset[str], domain: set[str]) -> str | None:
+        if not isinstance(values, frozenset):
+            return f": {values!r} is not a frozenset"
         if not values:
             return " is empty"
         if NA in values:
@@ -308,42 +312,37 @@ def resolve_class_specific(it: IncompleteTable, x: str, a: str) -> frozenset[str
     cell = it.cell(x, a)
     if not isinstance(cell, ClassSpecific):
         raise ValueError(f"cell ({x}, {a}) is not class-specific")
-    ref_column = _known_column(it, cell.ref_attr)
-    peers = _peer_values(ref_column, _known_column(it, a))
-    return _resolve(x, a, cell.ref_attr, ref_column[it.position(x)], peers)
+    return _resolve(it, it.position(x), a, cell.ref_attr, _peer_values(it, cell.ref_attr, a))
 
 
-def _known_column(it: IncompleteTable, a: str) -> list[str | None]:
-    """Per object, the value of its cell on ``a`` when that cell is known,
-    else None."""
+def _peer_values(it: IncompleteTable, ref_attr: str, a: str) -> dict[str, frozenset[str]]:
+    """Known values of ``a``, keyed by the known value of ``ref_attr``
+    beside them, from the distinct code pairs of the two columns. An
+    object's own class-specific cell is not known, so it never supplies
+    its own resolution."""
+    ref_cells, ref_codes = it.column(ref_attr)
     cells, codes = it.column(a)
-    known = [cell.value if isinstance(cell, Known) else None for cell in cells]
-    return [known[c] for c in codes]
-
-
-def _peer_values(ref_column: list[str | None], column: list[str | None]) -> dict[str, frozenset[str]]:
-    """Known values of an attribute, keyed by the known value of the
-    reference attribute beside them, from their two :func:`_known_column`
-    lists. An object's own class-specific cell is not known, so it never
-    supplies its own resolution."""
     peers: dict[str, set[str]] = {}
-    for ref, value in zip(ref_column, column):
-        if ref is not None and value is not None:
-            peers.setdefault(ref, set()).add(value)
+    for r, c in set(zip(ref_codes, codes)):
+        ref, cell = ref_cells[r], cells[c]
+        if isinstance(ref, Known) and isinstance(cell, Known):
+            peers.setdefault(ref.value, set()).add(cell.value)
     return {key: frozenset(values) for key, values in peers.items()}
 
 
-def _resolve(
-    x: str, a: str, ref_attr: str, ref_value: str | None, peers: Mapping[str, frozenset[str]]
-) -> frozenset[str]:
-    if ref_value is None:
+def _resolve(it: IncompleteTable, i: int, a: str, ref_attr: str, peers: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    """The resolution of object ``i``'s class-specific cell on ``a``."""
+    x = it.objects[i]
+    ref_cells, ref_codes = it.column(ref_attr)
+    ref = ref_cells[ref_codes[i]]
+    if not isinstance(ref, Known):
         raise UnresolvedReferenceError(
             f"cell ({x}, {a}): reference cell ({x}, {ref_attr}) is not a known value"
         )
-    values = peers.get(ref_value)
+    values = peers.get(ref.value)
     if not values:
         raise EmptyResolutionError(
-            f"cell ({x}, {a}): no peer object with {ref_attr}={ref_value} "
+            f"cell ({x}, {a}): no peer object with {ref_attr}={ref.value} "
             f"supplies a known value"
         )
     return values
@@ -368,13 +367,11 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
         recode = [None if v is None else index.setdefault(v, len(index)) for v in values]
         columns[schema.name] = (index, [recode[c] for c in codes])
         specific += [(i, j, cells[c].ref_attr) for i, c in enumerate(codes) if recode[c] is None]
-    known = cache(lambda b: _known_column(it, b))
-    peers = cache(lambda ref_attr, a: _peer_values(known(ref_attr), known(a)))
+    peers = cache(lambda ref_attr, a: _peer_values(it, ref_attr, a))
     for i, j, ref_attr in sorted(specific):
         a = it.attributes[j].name
         index, codes = columns[a]
-        resolved = _resolve(it.objects[i], a, ref_attr, known(ref_attr)[i], peers(ref_attr, a))
-        codes[i] = index.setdefault(resolved, len(index))
+        codes[i] = index.setdefault(_resolve(it, i, a, ref_attr, peers(ref_attr, a)), len(index))
     coded = {a: (tuple(index), tuple(codes)) for a, (index, codes) in columns.items()}
     return SetValuedTable(it.objects, it.attributes, _Cells(it.objects, it.cells.positions, coded))
 
@@ -390,9 +387,7 @@ def _values(cell: Cell, schema: AttributeSchema) -> frozenset[str] | None:
         return cell.values
     if isinstance(cell, NotApplicable):
         return frozenset({NA})
-    if isinstance(cell, ClassSpecific):
-        return None
-    raise TypeError(f"unknown cell variant {cell!r}")  # pragma: no cover - union is closed
+    return None
 
 
 def is_complete(st: SetValuedTable) -> bool:

@@ -521,11 +521,19 @@ class TestExitCodes:
                 ("--class", "", "--class-column", "d", "--class-value", "yes"),
                 "error: use either --class or --class-column, not both",
             ),
+            (("--class", "x1", "--class-column", ""), "error: use either --class or --class-column, not both"),
+            (("--class-column", "", "--class-value", "yes"), "error: unknown attribute ''"),
+            (("--class-column", ""), "error: --class-column requires --class-value"),
+            (
+                ("--class-column", "d", "--class-value", "yes", "--out", ""),
+                "error: [Errno 2] No such file or directory: ''",
+            ),
         ],
         ids=[
             "non-integer-cap", "empty-attrs", "decision-column-in-attrs", "class-and-class-column",
             "class-column-alone", "class-value-alone", "class-and-class-value", "no-class",
-            "empty-class", "empty-class-and-class-column",
+            "empty-class", "empty-class-and-class-column", "class-and-empty-class-column",
+            "empty-class-column-and-class-value", "empty-class-column-alone", "empty-out",
         ],
     )
     def test_configuration_error_is_1(self, capsys, command, argv, message):

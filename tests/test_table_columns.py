@@ -22,8 +22,10 @@ from threeway import (
     NA,
     AttributeSchema,
     ClassSpecific,
+    DoNotCare,
     IncompleteTable,
     Known,
+    NotApplicable,
     Partial,
     SetValuedTable,
     ThreeWayError,
@@ -85,6 +87,8 @@ def reference_incomplete_error(t: DictTable):
     names = {s.name for s in t.attributes}
     for x, schema in itertools.product(t.objects, t.attributes):
         name, cell = schema.name, t.cells[(x, schema.name)]
+        if not isinstance(cell, (Known, DoNotCare, Partial, ClassSpecific, NotApplicable)):
+            return f"cell ({x}, {name}): {cell!r} is not a cell"
         if isinstance(cell, Known) and cell.value not in schema.domain:
             return f"cell ({x}, {name}): value {cell.value!r} outside domain"
         if isinstance(cell, Partial) and not cell.values <= set(schema.domain):
@@ -99,6 +103,8 @@ def reference_incomplete_error(t: DictTable):
 def reference_set_valued_error(t: DictTable):
     for x, schema in itertools.product(t.objects, t.attributes):
         name, values = schema.name, t.cells[(x, schema.name)]
+        if not isinstance(values, frozenset):
+            return f"cell ({x}, {name}): {values!r} is not a frozenset"
         if not values:
             return f"cell ({x}, {name}) is empty"
         if NA in values and len(values) > 1:
@@ -200,8 +206,8 @@ def test_tables_match_the_dict_based_reference(text):
     _same_set_valued(SetValuedTable(*complete), complete)
 
 
-BAD_INCOMPLETE = (Known("9"), Partial(frozenset({"0", "9"})), ClassSpecific("zz"))
-BAD_SET_VALUED = (frozenset(), frozenset({NA, "0"}), frozenset({"9"}))
+BAD_INCOMPLETE = (Known("9"), Partial(frozenset({"0", "9"})), ClassSpecific("zz"), "0")
+BAD_SET_VALUED = (frozenset(), frozenset({NA, "0"}), frozenset({"9"}), "0", ("0",))
 
 
 @DIFFERENTIAL

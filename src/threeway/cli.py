@@ -18,6 +18,7 @@ import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -201,15 +202,18 @@ def _resolve_class(args, st: SetValuedTable) -> tuple[frozenset[str], str, str |
         cells, codes = st.column(column)
         if args.class_value not in st.schema(column).domain:
             raise ValueError(f"class value {args.class_value!r} is not in the domain of decision column {column!r}")
-        # A *, partial or NA decision cell leaves the object's class open.
-        undecided = [x for x, c in zip(st.objects, codes) if len(cells[c]) != 1 or NA in cells[c]]
+        # Each distinct decision cell is tested once; a *, partial or NA
+        # cell leaves the class of its objects open.
+        open_cells = [len(cell) != 1 or NA in cell for cell in cells]
+        undecided = list(compress(st.objects, map(open_cells.__getitem__, codes)))
         if undecided:
             shown = ", ".join(undecided[:5]) + (", ..." if len(undecided) > 5 else "")
             raise ValueError(
                 f"decision column {column!r} holds no single known value for "
                 f"{len(undecided)} object(s): {shown}"
             )
-        members = frozenset(x for x, c in zip(st.objects, codes) if args.class_value in cells[c])
+        holds = [args.class_value in cell for cell in cells]
+        members = frozenset(compress(st.objects, map(holds.__getitem__, codes)))
         return members, f"{column}={args.class_value}", column
     raise ValueError("a class is required: pass --class or --class-column/--class-value")
 
@@ -238,9 +242,9 @@ def _emit(args, payload) -> None:
 def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
     """The formula describing each block of the positive and negative
     regions: on a complete table an object's only description is its row."""
-    describe = _describer(st, attrs)
+    describe, position = _describer(st, attrs), st.cells.positions.__getitem__
     sides = (regions.pos, regions.neg)
-    return tuple({p for b in blocks for p in describe(st.position(next(iter(b))))} for blocks in sides)
+    return tuple({p for b in blocks for p in describe(position(next(iter(b))))} for blocks in sides)
 
 
 def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
@@ -284,8 +288,11 @@ def _method_regions(args, st):
 
 
 def _block_lists(st, blocks) -> list[list[str]]:
-    ordered = [sorted(block, key=st.position) for block in blocks]
-    return sorted(ordered, key=lambda block: st.position(block[0]))
+    """The blocks in object order, each block's members in object order."""
+    position = st.cells.positions.__getitem__
+    ordered = [sorted(block, key=position) for block in blocks]
+    ordered.sort(key=lambda block: position(block[0]))
+    return ordered
 
 
 def _cmd_regions(args, st):

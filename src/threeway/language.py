@@ -156,29 +156,46 @@ def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formul
     built once, so a sort over many formulas does not rebuild them.
 
     The key is ``(atom count, sorted (attribute rank, value rank) pairs)``;
-    a value outside the domain ranks after it. Each pair is built once per
-    schema, and atoms already in declaration order, as made by
-    :func:`make_formula`, skip the sort."""
-    pairs_of = {
-        s.name: (i, {v: (i, j) for j, v in enumerate(s.domain)}, (i, len(s.domain)))
-        for i, s in enumerate(schemas)
-    }
+    a value outside the domain ranks after it. Each distinct atom's pair
+    is built once per key function."""
+    ranks = {s.name: (i, {v: j for j, v in enumerate(s.domain)}) for i, s in enumerate(schemas)}
+
+    def rank(atom: Atom) -> tuple[int, int]:
+        attr, value = atom
+        if attr not in ranks:
+            raise UnknownIdError(f"formula attribute {attr!r} not in schema")
+        i, values = ranks[attr]
+        return (i, values.get(value, len(values)))
+
+    pair = _Memo(rank).__getitem__
 
     def key(p: Formula) -> tuple:
-        pairs = []
-        last = -1
-        ordered = True
-        for attr, value in p.atoms:
-            entry = pairs_of.get(attr)
-            if entry is None:
-                raise UnknownIdError(f"formula attribute {attr!r} not in schema")
-            attr_rank, known, other = entry
-            ordered = ordered and attr_rank > last
-            last = attr_rank
-            pairs.append(known.get(value, other))
-        return (len(pairs), tuple(pairs) if ordered else tuple(sorted(pairs)))
+        atoms = p[0]
+        return (len(atoms), tuple(sorted(map(pair, atoms))))
 
     return key
+
+
+#: Keys a :class:`_Memo` holds at most.
+_MEMO_SIZE = 4096
+
+
+class _Memo(dict):
+    """``key -> make(key)``, filled on first use, so that the lookup of a
+    key already made runs in C. Emptied when it holds :data:`_MEMO_SIZE`
+    keys, so that it stays bounded."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[key] = self._make(key)
+        return value
 
 
 def satisfies(row: Mapping[str, str], p: Formula) -> bool:
@@ -217,8 +234,11 @@ _ATOM_RE = re.compile(r"^\(([^()=\s]+)=([^()=\s]+)\)$")
 
 
 def render_formula(p: Formula) -> str:
-    """Text form ``(a1=1)&(a2=2)&(a3=3)``."""
-    return "&".join([f"({attr}={value})" for attr, value in p.atoms])
+    """Text form ``(a1=1)&(a2=2)&(a3=3)``, joined from each atom's cached text."""
+    return "&".join(map(_atom_text, p[0]))
+
+
+_atom_text = _Memo(lambda atom: f"({atom[0]}={atom[1]})").__getitem__
 
 
 def parse_formula(text: str, attr_order: Sequence[str]) -> Formula:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import IncompleteTableError
@@ -70,9 +71,10 @@ def derive_rules(
     pos = frozenset(dpos)
     neg = frozenset(dneg)
     key = sort_key or _default_key
-    rules = [Rule(p, Decision.ACCEPT, provenance) for p in sorted(pos - neg, key=key)]
-    rules += [Rule(p, Decision.REJECT, provenance) for p in sorted(neg - pos, key=key)]
-    rules += [Rule(p, Decision.NON_COMMIT, provenance) for p in sorted(pos & neg, key=key)]
+    groups = ((Decision.ACCEPT, pos - neg), (Decision.REJECT, neg - pos), (Decision.NON_COMMIT, pos & neg))
+    rules: list[Rule] = []
+    for decision, lhs in groups:
+        rules += map(Rule, sorted(lhs, key=key), repeat(decision), repeat(provenance))
     return RuleSet(tuple(rules))
 
 
@@ -121,8 +123,8 @@ def render(rs: RuleSet, fmt: str = "text") -> str:
     if fmt == "text":
         lines = []
         for decision in (Decision.ACCEPT, Decision.REJECT, Decision.NON_COMMIT):
-            for rule in rs.by_decision(decision):
-                lines.append(f"{_MARKS[decision]} {render_formula(rule.lhs)}")
+            mark = _MARKS[decision] + " "
+            lines += [mark + render_formula(rule.lhs) for rule in rs.by_decision(decision)]
         lines.append(f"{_MARKS[rs.default]} otherwise")
         return "\n".join(lines) + "\n"
     if fmt == "json":

@@ -38,13 +38,13 @@ import re
 import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache
 from typing import NoReturn
 
 from .errors import (
     DomainInferenceWarning,
     EmptyResolutionError,
     GuardExceededError,
+    ResolutionError,
     TableParseError,
     UnknownIdError,
     UnresolvedReferenceError,
@@ -312,7 +312,8 @@ def resolve_class_specific(it: IncompleteTable, x: str, a: str) -> frozenset[str
     cell = it.cell(x, a)
     if not isinstance(cell, ClassSpecific):
         raise ValueError(f"cell ({x}, {a}) is not class-specific")
-    return _resolve(it, it.position(x), a, cell.ref_attr, _peer_values(it, cell.ref_attr, a))
+    ref_attr = cell.ref_attr
+    return _resolve(x, a, ref_attr, it.cell(x, ref_attr), _peer_values(it, ref_attr, a))
 
 
 def _peer_values(it: IncompleteTable, ref_attr: str, a: str) -> dict[str, frozenset[str]]:
@@ -330,11 +331,9 @@ def _peer_values(it: IncompleteTable, ref_attr: str, a: str) -> dict[str, frozen
     return {key: frozenset(values) for key, values in peers.items()}
 
 
-def _resolve(it: IncompleteTable, i: int, a: str, ref_attr: str, peers: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    """The resolution of object ``i``'s class-specific cell on ``a``."""
-    x = it.objects[i]
-    ref_cells, ref_codes = it.column(ref_attr)
-    ref = ref_cells[ref_codes[i]]
+def _resolve(x: str, a: str, ref_attr: str, ref: Cell, peers: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    """The resolution of object ``x``'s class-specific cell on ``a``, whose
+    reference cell on ``ref_attr`` is ``ref``."""
     if not isinstance(ref, Known):
         raise UnresolvedReferenceError(
             f"cell ({x}, {a}): reference cell ({x}, {ref_attr}) is not a known value"
@@ -354,26 +353,51 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
     Known(v) maps to {v}, do-not-care to the full domain, partially-known
     to its value set, class-specific to its resolution, non-applicable to
     {NA}. Each distinct cell of a column is mapped once, over the column's
-    codes; class-specific cells then resolve per object, in row-major
-    order, through one index of peer values per (reference attribute,
-    attribute) pair.
+    codes. Only a column that holds class-specific cells is scanned for
+    them; there each distinct (class-specific cell, reference cell) pair
+    resolves once, through one index of peer values per (reference
+    attribute, attribute) pair, and resolved sets are coded in object
+    order. The first cell that fails to resolve, in row-major order,
+    raises.
     """
     columns: dict[str, tuple[dict[frozenset[str], int], list[int]]] = {}
-    specific: list[tuple[int, int, str]] = []
+    failures: list[tuple[int, int, ResolutionError]] = []
     for j, schema in enumerate(it.attributes):
-        cells, codes = it.column(schema.name)
+        a = schema.name
+        cells, codes = it.column(a)
         index: dict[frozenset[str], int] = {}
         values = [_values(cell, schema) for cell in cells]
         recode = [None if v is None else index.setdefault(v, len(index)) for v in values]
-        columns[schema.name] = (index, [recode[c] for c in codes])
-        specific += [(i, j, cells[c].ref_attr) for i, c in enumerate(codes) if recode[c] is None]
-    peers = cache(lambda ref_attr, a: _peer_values(it, ref_attr, a))
-    for i, j, ref_attr in sorted(specific):
-        a = it.attributes[j].name
-        index, codes = columns[a]
-        codes[i] = index.setdefault(_resolve(it, i, a, ref_attr, peers(ref_attr, a)), len(index))
-    coded = {a: (tuple(index), tuple(codes)) for a, (index, codes) in columns.items()}
-    return SetValuedTable(it.objects, it.attributes, _Cells(it.objects, it.cells.positions, coded))
+        coded = list(map(recode.__getitem__, codes))
+        columns[a] = (index, coded)
+        if None not in recode:
+            continue
+        # Per class-specific code: its reference attribute, that column and the peer index.
+        refs = {c: (cell.ref_attr, *it.column(cell.ref_attr), _peer_values(it, cell.ref_attr, a))
+                for c, cell in enumerate(cells) if recode[c] is None}
+        # The objects holding a class-specific cell, each keyed by its (code,
+        # reference code); each distinct key resolves once, at its first object.
+        rows = list(itertools.compress(range(len(codes)), map(refs.__contains__, codes)))
+        keys = [(c, refs[c][2][i]) for i, c in zip(rows, map(codes.__getitem__, rows))]
+        first: dict[tuple[int, int], int] = {}
+        for key, i in zip(keys, rows):
+            first.setdefault(key, i)
+        resolved: dict[tuple[int, int], int] = {}
+        for key, i in first.items():  # in object order
+            ref_attr, ref_cells, _, peers = refs[key[0]]
+            try:
+                resolution = _resolve(it.objects[i], a, ref_attr, ref_cells[key[1]], peers)
+            except ResolutionError as exc:
+                failures.append((i, j, exc))
+                break
+            resolved[key] = index.setdefault(resolution, len(index))
+        else:
+            for i, key in zip(rows, keys):
+                coded[i] = resolved[key]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    final = {a: (tuple(index), tuple(codes)) for a, (index, codes) in columns.items()}
+    return SetValuedTable(it.objects, it.attributes, _Cells(it.objects, it.cells.positions, final))
 
 
 def _values(cell: Cell, schema: AttributeSchema) -> frozenset[str] | None:

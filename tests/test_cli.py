@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import expected
 from conftest import DATA, formula, formulas
@@ -564,6 +567,64 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == run(capsys, *common, "--attrs", "nope")[2] == "error: unknown attribute 'nope'\n"
         assert run(capsys, *common, "--strip-na-atoms", "a1")[0] == 0
+
+
+DECISION_DOMAIN = ("yes", "no", "maybe")
+KNOWN_DECISIONS = st.sampled_from(DECISION_DOMAIN)
+DECISIONS = KNOWN_DECISIONS | st.sampled_from(("*", "{yes|no}", "{no|maybe}", "{maybe|yes|no}", "NA"))
+
+
+def reference_selection(cells: list[str], value: str) -> tuple[list[str], list[str]]:
+    """(members, undecided objects) of a decision column, one object at a
+    time from its token: only a single known value decides an object."""
+    members, undecided = [], []
+    for i, token in enumerate(cells, start=1):
+        if token in DECISION_DOMAIN:
+            if token == value:
+                members.append(f"x{i}")
+        else:  # *, a partial set or NA
+            undecided.append(f"x{i}")
+    return members, undecided
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.booleans().flatmap(
+        lambda decided: st.lists(KNOWN_DECISIONS if decided else DECISIONS, min_size=1, max_size=12)
+    ),
+    value=KNOWN_DECISIONS,
+)
+def test_class_column_selection_matches_per_object_reference(tmp_path_factory, cells, value):
+    """``--class-column d --class-value V`` selects the objects whose decision
+    cell is the single known V, or exits 1 naming the undecided objects. On
+    a table whose condition column gives each object its own block, the
+    eq-complete regions list the members as positive blocks and every
+    other object as a negative block."""
+    table = tmp_path_factory.getbasetemp() / "decision.itab"
+    rows = [f"x{i} {i} {token}" for i, token in enumerate(cells, start=1)]
+    table.write_text(
+        f"@attributes a d\n@domain a {' '.join(map(str, range(1, len(cells) + 1)))}\n"
+        f"@domain d {' '.join(DECISION_DOMAIN)}\n@objects\n" + "\n".join(rows) + "\n"
+    )
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["regions", "--table", str(table), "--method", "eq-complete",
+                     "--class-column", "d", "--class-value", value, "--format", "json"])
+    members, undecided = reference_selection(cells, value)
+    if undecided:
+        shown = ", ".join(undecided[:5]) + (", ..." if len(undecided) > 5 else "")
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (
+            1, "", f"error: decision column 'd' holds no single known value for "
+                   f"{len(undecided)} object(s): {shown}\n"
+        )
+    else:
+        objects = [f"x{i}" for i in range(1, len(cells) + 1)]
+        assert (code, stderr.getvalue()) == (0, "")
+        assert json.loads(stdout.getvalue()) == {
+            "pos": [[x] for x in objects if x in members],
+            "neg": [[x] for x in objects if x not in members],
+            "bnd": [],
+        }
 
 
 class TestWarnings:

@@ -1,7 +1,8 @@
 """Byte-level CLI goldens: stdout and exit code of every method on both
 fixture tables, of the matrix, degree and oracle listings, and of
 eq-complete on a forty-object complete table, and of every JSON command
-on a table whose names and values are not ASCII.
+and every formula-text command on a table whose names and values are not
+ASCII.
 
 Rewrite ``data/cli_golden.json`` only when output is meant to change:
 
@@ -79,13 +80,16 @@ def cases() -> list[tuple[str, ...]]:
     for fmt in FORMATS:
         out.append(("regions", "--table", "complete6.itab", "--method", "eq-complete", "--class", "x4", *fmt))
     # Ids, attribute names and values outside ASCII pin the JSON escaping
-    # of every command, astral characters (surrogate pairs) included.
+    # of every command, and the formula text of every command that prints
+    # it, astral characters (surrogate pairs) included.
     out += [unicode_case(command) for command in UNICODE_COMMANDS]
+    out += [unicode_case(command, "text") for command in UNICODE_COMMANDS
+            if command[0] in ("rules", "regions", "satisfiability")]
     return out
 
 
-def unicode_case(command: tuple[str, ...]) -> tuple[str, ...]:
-    return (command[0], "--table", "unicode5.itab", *command[1:], "--format", "json")
+def unicode_case(command: tuple[str, ...], fmt: str = "json") -> tuple[str, ...]:
+    return (command[0], "--table", "unicode5.itab", *command[1:], "--format", fmt)
 
 
 def run(argv: tuple[str, ...]) -> tuple[int, str]:

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from threeway import TNorm
 from threeway.cli import _strip_na_atoms
 from threeway.language import (
+    _MEMO_SIZE,
     EXTENDED,
     STRICT,
     Atom,
@@ -30,6 +31,7 @@ from threeway.language import (
     enumerate_cdl,
     formula_json,
     formula_sort_key_for,
+    _atom_text,
     make_formula,
     render_formula,
     write_json,
@@ -126,6 +128,15 @@ def test_sort_keys_match_the_reference(drawn, rng):
     by_key = sorted(formulas, key=key)
     assert [p.atoms for p in by_key] == sorted(drawn, key=reference)
     assert [p.atoms for p in sorted(formulas, key=_default_key)] == sorted(drawn, key=lambda t: (len(t), t))
+
+
+def test_atom_texts_stay_bounded():
+    """The atom texts that ``render_formula`` keeps are emptied when full,
+    and every atom still renders exactly afterwards."""
+    names = [f"a{i}" for i in range(_MEMO_SIZE + 10)]
+    texts = [render_formula(Formula((Atom(a, "\u00e9"), Atom("z", "1")))) for a in names]
+    assert texts == [f"({a}=\u00e9)&(z=1)" for a in names]
+    assert len(_atom_text.__self__) <= _MEMO_SIZE
 
 
 def test_copy_and_pickle_keep_the_formula():

@@ -1,6 +1,7 @@
 """Byte-level CLI goldens: stdout and exit code of every method on both
 fixture tables, of the matrix, degree and oracle listings, and of
-eq-complete on a forty-object complete table, and of every JSON command
+eq-complete on a forty-object complete table and on a ten-object one
+whose domains are declared out of lexical order, and of every JSON command
 and every formula-text command on a table whose names and values are not
 ASCII.
 
@@ -75,6 +76,16 @@ def cases() -> list[tuple[str, ...]]:
         for command in ("regions", "rules"):
             for fmt in FORMATS:
                 out.append((command, "--table", "complete40.itab", "--method", "eq-complete",
+                            *class_args, *fmt))
+    # Rule order by domain declaration rank, on a table whose domains are
+    # declared out of lexical order and whose rows show values out of
+    # domain order, with every attribute and with a subset given out of
+    # declaration order.
+    for class_args in (("--class-column", "d", "--class-value", "yes"),
+                       ("--attrs", "c,a", "--class-column", "d", "--class-value", "yes")):
+        for command in ("regions", "rules"):
+            for fmt in FORMATS:
+                out.append((command, "--table", "order10.itab", "--method", "eq-complete",
                             *class_args, *fmt))
     # An empty positive region: no block of complete6 lies inside {x4}.
     for fmt in FORMATS:

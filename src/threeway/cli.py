@@ -27,6 +27,7 @@ from .errors import GuardExceededError, TableParseError, ThreeWayError
 from .fuzzy import TNorm, format_decimal, format_exact, parse_degree
 from .language import (
     DEFAULT_MAX_FORMULAS,
+    Atom,
     Formula,
     _formula,
     formula_sort_key_for,
@@ -41,7 +42,6 @@ from .satisfiability import (
     strict_degrees,
 )
 from .similarity import (
-    _describer,
     description_regions_alpha_sim,
     description_regions_approx,
     similarity_matrix,
@@ -239,12 +239,31 @@ def _emit(args, payload) -> None:
             write_json(payload, f.write)
 
 
-def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
+def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula], dict[Formula, int]]:
     """The formula describing each block of the positive and negative
-    regions: on a complete table an object's only description is its row."""
-    describe, position = _describer(st, attrs), st.cells.positions.__getitem__
-    sides = (regions.pos, regions.neg)
-    return tuple({p for b in blocks for p in describe(position(next(iter(b))))} for blocks in sides)
+    regions, and each formula's rank in :func:`formula_sort_key_for`'s order.
+
+    On a complete table every cell is a singleton, so a block's only
+    description is the row of any member: per attribute of ``attrs``, in
+    declaration order, the shared atom of its code. The atoms are valid by
+    construction, so the formula is built unchecked. Every description
+    holds every attribute of ``attrs``, so the key orders them by their
+    values' declaration ranks, attribute by attribute: the rank is that
+    number in mixed radix over the domain sizes."""
+    position = st.cells.positions.__getitem__
+    pos, neg = ([position(next(iter(b))) for b in blocks] for blocks in (regions.pos, regions.neg))
+    members, atoms, ranks, weight = pos + neg, [], [], 1
+    for a in reversed(attrs):  # the last attribute's rank varies fastest
+        cells, codes = st.column(a)
+        domain = st.schema(a).domain
+        values = [v for (v,) in cells]
+        rank = {v: j * weight for j, v in enumerate(domain)}
+        here = list(map(codes.__getitem__, members))
+        atoms.insert(0, map([Atom(a, v) for v in values].__getitem__, here))
+        ranks.append(map([rank[v] for v in values].__getitem__, here))
+        weight *= len(domain)
+    formulas = list(map(_formula, zip(zip(*atoms))))
+    return set(formulas[:len(pos)]), set(formulas[len(pos):]), dict(zip(formulas, map(sum, zip(*ranks))))
 
 
 def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
@@ -260,9 +279,10 @@ def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
 def _method_regions(args, st):
     """The part of a ``rules`` or ``regions`` run that every method shares.
 
-    Returns the formula sort key, eq-complete's structured
-    regions (None for the other methods), the method's (DPOS, DNEG) with
-    the ``--strip-na-atoms`` atoms dropped, and the rules' provenance.
+    Returns the formula sort key (on eq-complete, the lookup of each block
+    description's rank), eq-complete's structured regions (None for the
+    other methods), the method's (DPOS, DNEG) with the
+    ``--strip-na-atoms`` atoms dropped, and the rules' provenance.
     """
     method = args.method
     members, label, excluded = _resolve_class(args, st)
@@ -271,10 +291,11 @@ def _method_regions(args, st):
     kind, alpha = _resolve_kind_alpha(args, method)
     if method in COMPLETE_METHODS and not is_complete(st):
         raise ValueError(f"method {method} requires a complete table")
-    structured = None
+    structured = key = None
     if method == "eq-complete":
         structured = regions_computational(st, attrs, members)
-        dpos, dneg = _block_descriptions(st, attrs, structured)
+        dpos, dneg, rank = _block_descriptions(st, attrs, structured)
+        key = rank.__getitem__
     elif method == "cdl-complete":
         dpos, dneg = description_regions_complete(st, attrs, members, args.max_formulas)
     else:
@@ -284,7 +305,8 @@ def _method_regions(args, st):
     if args.strip_na_atoms is not None:
         dpos, dneg = (_strip_na_atoms(d, args.strip_na_atoms, attrs) for d in (dpos, dneg))
     provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
-    return formula_sort_key_for(tuple(map(st.schema, attrs))), structured, dpos, dneg, provenance
+    key = key or formula_sort_key_for(tuple(map(st.schema, attrs)))
+    return key, structured, dpos, dneg, provenance
 
 
 def _block_lists(st, blocks) -> list[list[str]]:

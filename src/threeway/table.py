@@ -159,16 +159,18 @@ class _Grid:
             raise ValueError("table needs at least one object")
         if not self.attributes:
             raise ValueError("table needs at least one attribute")
-        positions = {x: i for i, x in enumerate(self.objects)}
+        cells = self.cells
+        # A view over these objects brings its object index; one per object
+        # means no identifier repeats.
+        view = isinstance(cells, _Cells) and cells.objects == self.objects
+        positions = cells.positions if view else {x: i for i, x in enumerate(self.objects)}
         if len(positions) != len(self.objects):
             raise ValueError("duplicate object identifiers")
         by_name = {a.name: a for a in self.attributes}
         if len(by_name) != len(self.attributes):
             raise ValueError("duplicate attribute names")
         object.__setattr__(self, "_by_name", by_name)
-        cells = self.cells
-        if not (isinstance(cells, _Cells) and cells.objects == self.objects
-                and tuple(cells.columns) == tuple(by_name)):
+        if not (view and tuple(cells.columns) == tuple(by_name)):
             if len(cells) != len(self.objects) * len(self.attributes):
                 raise ValueError("cells map is not total over objects x attributes")
             columns = {}

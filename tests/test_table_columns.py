@@ -34,6 +34,7 @@ from threeway import (
     partition,
     to_set_valued,
 )
+from threeway.table import _Cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::threeway.DomainInferenceWarning")
 
@@ -249,3 +250,17 @@ def test_equal_cells_from_separate_instances_share_one():
     sv = to_set_valued(it)
     assert sv.cell("x1", "a") is sv.cell("x3", "a")
     assert sv.column("a")[1] == (0, 0, 0)
+
+
+def test_a_column_view_brings_its_object_index():
+    """A table built on a column view of its own objects keeps the view's
+    object index, and the parsed and set-valued tables share one; an
+    identifier that repeats in the view still fails."""
+    it = parse_table("@attributes a\n@domain a 0 1\n@objects\nx1 0\nx2 1\n")
+    sv = to_set_valued(it)
+    assert sv.cells.positions is it.cells.positions
+    assert SetValuedTable(sv.objects, sv.attributes, sv.cells).cells is sv.cells
+    objects = ("x1", "x2", "x1")
+    view = _Cells(objects, {x: i for i, x in enumerate(objects)}, {"a": ((Known("1"),), (0, 0, 0))})
+    with pytest.raises(ValueError, match="^duplicate object identifiers$"):
+        IncompleteTable(objects, (AttributeSchema("a", ("1",)),), view)

@@ -252,13 +252,13 @@ def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula],
     number in mixed radix over the domain sizes."""
     position = st.cells.positions.__getitem__
     pos, neg = ([position(next(iter(b))) for b in blocks] for blocks in (regions.pos, regions.neg))
-    members, atoms, ranks, weight = pos + neg, [], [], 1
+    reps, atoms, ranks, weight = pos + neg, [], [], 1
     for a in reversed(attrs):  # the last attribute's rank varies fastest
         cells, codes = st.column(a)
         domain = st.schema(a).domain
         values = [v for (v,) in cells]
         rank = {v: j * weight for j, v in enumerate(domain)}
-        here = list(map(codes.__getitem__, members))
+        here = list(map(codes.__getitem__, reps))
         atoms.insert(0, map([Atom(a, v) for v in values].__getitem__, here))
         ranks.append(map([rank[v] for v in values].__getitem__, here))
         weight *= len(domain)

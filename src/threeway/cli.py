@@ -30,7 +30,7 @@ from .language import (
     Atom,
     Formula,
     _formula,
-    formula_sort_key_for,
+    formula_rank_for,
     render_formula,
     write_json,
 )
@@ -239,31 +239,21 @@ def _emit(args, payload) -> None:
             write_json(payload, f.write)
 
 
-def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula], dict[Formula, int]]:
-    """The formula describing each block of the positive and negative
-    regions, and each formula's rank in :func:`formula_sort_key_for`'s order.
+def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
+    """The formula describing each block of the positive and negative regions.
 
     On a complete table every cell is a singleton, so a block's only
     description is the row of any member: per attribute of ``attrs``, in
     declaration order, the shared atom of its code. The atoms are valid by
-    construction, so the formula is built unchecked. Every description
-    holds every attribute of ``attrs``, so the key orders them by their
-    values' declaration ranks, attribute by attribute: the rank is that
-    number in mixed radix over the domain sizes."""
+    construction, so the formula is built unchecked."""
     position = st.cells.positions.__getitem__
     pos, neg = ([position(next(iter(b))) for b in blocks] for blocks in (regions.pos, regions.neg))
-    reps, atoms, ranks, weight = pos + neg, [], [], 1
-    for a in reversed(attrs):  # the last attribute's rank varies fastest
+    reps, atoms = pos + neg, []
+    for a in attrs:
         cells, codes = st.column(a)
-        domain = st.schema(a).domain
-        values = [v for (v,) in cells]
-        rank = {v: j * weight for j, v in enumerate(domain)}
-        here = list(map(codes.__getitem__, reps))
-        atoms.insert(0, map([Atom(a, v) for v in values].__getitem__, here))
-        ranks.append(map([rank[v] for v in values].__getitem__, here))
-        weight *= len(domain)
+        atoms.append(map([Atom(a, v) for (v,) in cells].__getitem__, map(codes.__getitem__, reps)))
     formulas = list(map(_formula, zip(zip(*atoms))))
-    return set(formulas[:len(pos)]), set(formulas[len(pos):]), dict(zip(formulas, map(sum, zip(*ranks))))
+    return set(formulas[:len(pos)]), set(formulas[len(pos):])
 
 
 def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
@@ -279,10 +269,10 @@ def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
 def _method_regions(args, st):
     """The part of a ``rules`` or ``regions`` run that every method shares.
 
-    Returns the formula sort key (on eq-complete, the lookup of each block
-    description's rank), eq-complete's structured regions (None for the
-    other methods), the method's (DPOS, DNEG) with the
-    ``--strip-na-atoms`` atoms dropped, and the rules' provenance.
+    Returns the rule order's :func:`formula_rank_for` key, eq-complete's
+    structured regions (None for the other methods), the method's
+    (DPOS, DNEG) with the ``--strip-na-atoms`` atoms dropped, and the
+    rules' provenance.
     """
     method = args.method
     members, label, excluded = _resolve_class(args, st)
@@ -291,11 +281,10 @@ def _method_regions(args, st):
     kind, alpha = _resolve_kind_alpha(args, method)
     if method in COMPLETE_METHODS and not is_complete(st):
         raise ValueError(f"method {method} requires a complete table")
-    structured = key = None
+    structured = None
     if method == "eq-complete":
         structured = regions_computational(st, attrs, members)
-        dpos, dneg, rank = _block_descriptions(st, attrs, structured)
-        key = rank.__getitem__
+        dpos, dneg = _block_descriptions(st, attrs, structured)
     elif method == "cdl-complete":
         dpos, dneg = description_regions_complete(st, attrs, members, args.max_formulas)
     else:
@@ -305,7 +294,7 @@ def _method_regions(args, st):
     if args.strip_na_atoms is not None:
         dpos, dneg = (_strip_na_atoms(d, args.strip_na_atoms, attrs) for d in (dpos, dneg))
     provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
-    key = key or formula_sort_key_for(tuple(map(st.schema, attrs)))
+    key = formula_rank_for(tuple(map(st.schema, attrs)))
     return key, structured, dpos, dneg, provenance
 
 

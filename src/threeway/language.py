@@ -9,7 +9,9 @@ structurally equal formulas compare equal. Two alphabet modes exist:
 * ``extended`` - ``NA`` is admitted as an atom value; used only for
   object descriptions over set-valued cells, which can contain ``{NA}``.
 
-The mode is always an explicit parameter, never inferred.
+The mode is always an explicit parameter, never inferred. Every rule set
+and region is listed in the enumeration order, which
+:func:`formula_sort_key_for` defines and :func:`formula_rank_for` computes.
 """
 
 from __future__ import annotations
@@ -152,28 +154,45 @@ def formula_sort_key(p: Formula, schemas: Sequence[AttributeSchema]):
 
 
 def formula_sort_key_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formula], tuple]:
-    """:func:`formula_sort_key` with ``schemas`` fixed. The rank tables are
-    built once, so a sort over many formulas does not rebuild them.
-
-    The key is ``(atom count, sorted (attribute rank, value rank) pairs)``;
-    a value outside the domain ranks after it. Each distinct atom's pair
-    is built once per key function."""
+    """:func:`formula_sort_key` with ``schemas`` fixed: ``(atom count, sorted
+    (attribute rank, value rank) pairs)``, a value outside the domain ranking
+    after it. The definition of the order, which the tests compare with."""
     ranks = {s.name: (i, {v: j for j, v in enumerate(s.domain)}) for i, s in enumerate(schemas)}
 
-    def rank(atom: Atom) -> tuple[int, int]:
+    def pair(atom: Atom) -> tuple[int, int]:
         attr, value = atom
         if attr not in ranks:
             raise UnknownIdError(f"formula attribute {attr!r} not in schema")
         i, values = ranks[attr]
         return (i, values.get(value, len(values)))
 
-    pair = _Memo(rank).__getitem__
+    return lambda p: (len(p[0]), tuple(sorted(map(pair, p[0]))))
 
-    def key(p: Formula) -> tuple:
-        atoms = p[0]
-        return (len(atoms), tuple(sorted(map(pair, atoms))))
 
-    return key
+def formula_rank_for(schemas: Sequence[AttributeSchema]) -> Callable[[Formula], int]:
+    """One int per formula, in :func:`formula_sort_key_for`'s order and
+    with exactly its ties: the sum of its atoms' weights, each looked up
+    once. Each attribute is a mixed-radix digit, the first the most
+    significant: the value's domain rank, one more for a value outside the
+    domain, the last when absent. An atom weighs ``M``, the product of the
+    radixes, plus its digit less the absent one times its place; those
+    terms sum into ``(-M, 0]``, so the atom count comes first."""
+    weights, total = {}, math.prod(len(s.domain) + 2 for s in schemas)
+    place = total
+    for s in schemas:
+        n = len(s.domain)
+        place //= n + 2
+        weights[s.name] = ({v: total + (j - n - 1) * place for j, v in enumerate(s.domain)}, total - place)
+
+    def weight(atom: Atom) -> int:
+        attr, value = atom
+        if attr not in weights:
+            raise UnknownIdError(f"formula attribute {attr!r} not in schema")
+        values, stray = weights[attr]
+        return values.get(value, stray)
+
+    atom_weight = _Memo(weight).__getitem__
+    return lambda p: sum(map(atom_weight, p[0]))
 
 
 #: Keys a :class:`_Memo` holds at most.

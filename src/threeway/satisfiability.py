@@ -34,7 +34,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, check_kind, degree_terms, implication, negate, tnorm
-from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size, formula_sort_key_for
+from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size, formula_rank_for
 from .table import NA, SetValuedTable, _bits
 
 
@@ -95,7 +95,7 @@ def strict_degrees(
         return False, False, True
 
     _search(st, attrs, kind, visit)
-    key = formula_sort_key_for(schemas)
+    key = formula_rank_for(schemas)
     out.sort(key=lambda entry: key(entry[0]))
     return out
 

@@ -398,6 +398,26 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("x1 * ^(a) yes", "error: cell (x1, b): reference cell (x1, a) is not a known value"),
+            ("x1 0 ^(a) yes", "error: cell (x1, b): no peer object with a=0 supplies a known value"),
+        ],
+    )
+    def test_unresolvable_class_specific_cell_is_1(self, capsys, tmp_path, row, message):
+        """The text parses, so it is not exit 2: the cell's reference is
+        not a known value, or no peer supplies one."""
+        table = tmp_path / "unresolved.itab"
+        table.write_text(
+            "@attributes a b d\n@domain a 0 1\n@domain b yes no\n@domain d yes no\n"
+            f"@objects\n{row}\nx2 1 yes no\n"
+        )
+        code, out, err = run(
+            capsys, "rules", "--table", str(table), "--method", "confidence", "--alpha", "1/2", "--class", "x1"
+        )
+        assert (code, out, err) == (1, "", message + "\n")
+
     def test_bad_flag_is_1(self, capsys):
         code, _, _ = run(capsys, "regions", "--table", COMPLETE6, "--method", "bogus")
         assert code == 1

@@ -30,7 +30,7 @@ from threeway import (
     render,
     similarity_matrix,
 )
-from threeway.language import formula_sort_key_for
+from threeway.language import formula_rank_for, formula_sort_key_for
 from threeway.oracle import _conjunctive_sets
 
 A = AttributeSchema("a", ("1", "2"))
@@ -68,6 +68,11 @@ REJECTIONS = {
     ),
     "sort-key-unknown-attr": (
         lambda c6, s8: formula_sort_key_for((A,))(Formula((Atom("b", "1"),))),
+        UnknownIdError,
+        "formula attribute 'b' not in schema",
+    ),
+    "rank-unknown-attr": (
+        lambda c6, s8: formula_rank_for((A,))(Formula((Atom("b", "1"),))),
         UnknownIdError,
         "formula attribute 'b' not in schema",
     ),

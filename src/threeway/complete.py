@@ -133,7 +133,7 @@ def boolean_algebra(
     The union of the empty subfamily contributes the empty set. Input
     duplicates are collapsed before the guard is applied.
     """
-    family = sorted(set(blocks), key=sorted)
+    family = tuple(set(blocks))
     if 2 ** len(family) > max_subsets:
         raise GuardExceededError(
             f"2^{len(family)} closure subsets exceed the cap of {max_subsets}"

@@ -355,12 +355,12 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
     Known(v) maps to {v}, do-not-care to the full domain, partially-known
     to its value set, class-specific to its resolution, non-applicable to
     {NA}. Each distinct cell of a column is mapped once, over the column's
-    codes. Only a column that holds class-specific cells is scanned for
-    them; there each distinct (class-specific cell, reference cell) pair
-    resolves once, through one index of peer values per (reference
-    attribute, attribute) pair, and resolved sets are coded in object
-    order. The first cell that fails to resolve, in row-major order,
-    raises.
+    codes. A column holding class-specific cells indexes peer values once
+    per (reference attribute, attribute) pair and walks its holders once,
+    in object order: each distinct (class-specific cell, reference cell)
+    pair resolves at its first holder, so resolved sets are coded in object
+    order, and the column stops at its first failing holder. The first
+    cell that fails to resolve, in row-major order, raises.
     """
     columns: dict[str, tuple[dict[frozenset[str], int], list[int]]] = {}
     failures: list[tuple[int, int, ResolutionError]] = []
@@ -377,25 +377,19 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
         # Per class-specific code: its reference attribute, that column and the peer index.
         refs = {c: (cell.ref_attr, *it.column(cell.ref_attr), _peer_values(it, cell.ref_attr, a))
                 for c, cell in enumerate(cells) if recode[c] is None}
-        # The objects holding a class-specific cell, each keyed by its (code,
-        # reference code); each distinct key resolves once, at its first object.
-        rows = list(itertools.compress(range(len(codes)), map(refs.__contains__, codes)))
-        keys = [(c, refs[c][2][i]) for i, c in zip(rows, map(codes.__getitem__, rows))]
-        first: dict[tuple[int, int], int] = {}
-        for key, i in zip(keys, rows):
-            first.setdefault(key, i)
+        # The holders in object order; each distinct (code, reference code) resolves once.
         resolved: dict[tuple[int, int], int] = {}
-        for key, i in first.items():  # in object order
-            ref_attr, ref_cells, _, peers = refs[key[0]]
-            try:
-                resolution = _resolve(it.objects[i], a, ref_attr, ref_cells[key[1]], peers)
-            except ResolutionError as exc:
-                failures.append((i, j, exc))
-                break
-            resolved[key] = index.setdefault(resolution, len(index))
-        else:
-            for i, key in zip(rows, keys):
-                coded[i] = resolved[key]
+        for i in itertools.compress(range(len(codes)), map(refs.__contains__, codes)):
+            ref_attr, ref_cells, ref_codes, peers = refs[codes[i]]
+            key = (codes[i], ref_codes[i])
+            if key not in resolved:
+                try:
+                    resolution = _resolve(it.objects[i], a, ref_attr, ref_cells[key[1]], peers)
+                except ResolutionError as exc:
+                    failures.append((i, j, exc))
+                    break
+                resolved[key] = index.setdefault(resolution, len(index))
+            coded[i] = resolved[key]
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
     final = {a: (tuple(index), tuple(codes)) for a, (index, codes) in columns.items()}

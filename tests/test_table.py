@@ -1,6 +1,7 @@
 import pytest
 
 import expected
+import threeway.table
 from threeway import (
     AttributeSchema,
     ClassSpecific,
@@ -106,6 +107,52 @@ class TestResolution:
     def test_non_reference_cell_rejected(self, incomplete8):
         with pytest.raises(ValueError):
             resolve_class_specific(incomplete8, "x1", "a1")
+
+
+class TestResolutionWork:
+    """Each column builds one peer index per class-specific cell, and each
+    distinct (class-specific cell, reference cell) pair resolves once, at
+    its first holder in object order, up to the column's first failure."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = {"peers": [], "resolve": []}
+        peer_values, resolve = threeway.table._peer_values, threeway.table._resolve
+
+        def counted_peers(it, ref_attr, a):
+            log["peers"].append((ref_attr, a))
+            return peer_values(it, ref_attr, a)
+
+        def counted_resolve(x, a, ref_attr, ref, peers):
+            log["resolve"].append((x, a, ref_attr))
+            return resolve(x, a, ref_attr, ref, peers)
+
+        monkeypatch.setattr(threeway.table, "_peer_values", counted_peers)
+        monkeypatch.setattr(threeway.table, "_resolve", counted_resolve)
+        return log
+
+    def test_shared_pairs_resolve_once(self, calls):
+        src = (
+            "@attributes a b c\n@domain a 1 2 3\n@domain b 1 2\n@domain c 1 2\n@objects\n"
+            "x1 1 1 1\nx2 2 2 1\nx3 ^(b) 1 2\nx4 ^(c) 2 1\nx5 ^(b) 1 1\n"
+            "x6 ^(b) 2 2\nx7 ^(c) 1 2\nx8 ^(c) 2 1\nx9 3 2 2\n"
+        )
+        st = to_set_valued(parse_table(src))
+        assert sorted(calls["peers"]) == [("b", "a"), ("c", "a")]
+        assert calls["resolve"] == [("x3", "a", "b"), ("x4", "a", "c"), ("x6", "a", "b"), ("x7", "a", "c")]
+        assert [st.cell(x, "a") for x in ("x3", "x4", "x5", "x6", "x7", "x8")] == [
+            frozenset(v) for v in ({"1"}, {"1", "2"}, {"1"}, {"2", "3"}, {"3"}, {"1", "2"})
+        ]
+
+    def test_columns_stop_at_their_first_failure(self, calls):
+        src = (
+            "@attributes a b c\n@domain a 1 2\n@domain b 1 2 3\n@domain c 1 2\n@objects\n"
+            "x1 1 1 1\nx2 ^(b) 1 ^(a)\nx3 2 2 2\nx4 ^(b) 3 1\nx5 ^(b) 2 1\nx6 ^(b) 1 2\n"
+        )
+        with pytest.raises(UnresolvedReferenceError, match=r"^cell \(x2, c\): reference cell \(x2, a\)"):
+            to_set_valued(parse_table(src))
+        assert calls["peers"] == [("b", "a"), ("a", "c")]
+        assert calls["resolve"] == [("x2", "a", "b"), ("x4", "a", "b"), ("x2", "c", "a")]
 
 
 class TestSetValuedConversion:

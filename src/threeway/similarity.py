@@ -155,10 +155,9 @@ def description_regions_alpha_sim(
 
     def judge(others):
         # The class of x holds x; it stays on x's side unless some object
-        # of the other side is alpha-similar to x. Under min every
-        # candidate is; a product is at most the minimum of its factors,
-        # so under prod only a candidate can be.
-        return not (others if kind is TNorm.MIN else any(n * b >= a * d for n, d, _ in others)), False
+        # of the other side is alpha-similar to x. A product is at most the
+        # minimum of its factors, so under prod only a candidate can be.
+        return not any(n * b >= a * d for n, d, _ in others)
 
     return _object_regions(st, attrs, members, kind, lambda n, d: n * b >= a * d, judge, max_formulas)
 
@@ -235,24 +234,24 @@ def description_regions_approx(
     attrs = st.attr_subset(attrs)
     a, b = degree_terms(alpha)
     # The closed forms of :func:`approximability_closed`: toward x's own side
-    # 1 - G folds over the other side; toward the other side the degree is 0,
-    # as G(x, x) = 1, which reaches alpha only at alpha = 0. Under min a
-    # candidate (G > 1 - alpha) decides; under prod every candidate (G > 0)
-    # folds in, unless alpha = 0, which every product reaches.
+    # 1 - G folds over the other side. Under min a candidate (G > 1 - alpha)
+    # decides; under prod every candidate (G > 0) folds in, unless alpha = 0,
+    # which every product reaches. Toward the other side the degree is 0, as
+    # G(x, x) = 1; it reaches alpha only at alpha = 0, where every object is
+    # in both regions.
     lowers = (lambda n, d: n * b > (b - a) * d) if kind is TNorm.MIN else (lambda n, d: n > 0)
 
     def judge(others):
-        if kind is TNorm.MIN:
-            return not others, not a
         num = den = 1
         for n, d, count in others if a else ():
             num *= (d - n) ** count
             den *= d**count
             if num * b < a * den:
                 break  # every further factor is at most 1
-        return num * b >= a * den, not a
+        return num * b >= a * den
 
-    return _object_regions(st, attrs, members, kind, lowers, judge, max_formulas)
+    dpos, dneg = _object_regions(st, attrs, members, kind, lowers, judge, max_formulas)
+    return (dpos, dneg) if a else (dpos | dneg,) * 2
 
 
 # --------------------------------------------------------------------------
@@ -295,19 +294,19 @@ class _Rows:
 
 
 def _object_regions(st, attrs, members, kind, test, judge, max_formulas):
-    """Union of the descriptions of the objects that ``judge`` puts in each
-    region (positive, negative).
+    """Union of the descriptions of the objects in each region (positive,
+    negative); an object is only ever put in its own side's region.
 
     An object's candidates are the rows within ``test`` of its row that
-    hold objects on the other side of the class ``members``. ``judge`` gets
-    them as a lazy stream of (PRODUCT degree numerator, denominator, number
-    of those objects), one item per row and false when empty, so a judge
-    that needs only their existence forms no product. It returns whether
-    the object is in its own side's region and in the other side's; objects
-    of one row and membership share that, so it is asked once, at the first.
-    A row's objects share their descriptions, which are added at its first
-    object in each region, in object order; so the description guard fires
-    on the object a per-object evaluation would."""
+    hold objects on the other side of the class ``members``. Under min
+    ``test`` is exact, so the object is in its region iff it has no
+    candidate. Under prod ``judge`` decides: it gets the candidates as a
+    lazy stream of (PRODUCT degree numerator, denominator, number of those
+    objects), one item per row, and returns whether the object is in its
+    region; it is asked only when a candidate exists. Objects of one row and
+    membership share the verdict and their descriptions, so both are taken
+    at the first such object. Those come in object order, so the description
+    guard fires on the object a per-object evaluation would."""
     check_kind(kind)
     rows = _Rows(st, attrs)
     near = rows.within(test)
@@ -323,14 +322,10 @@ def _object_regions(st, attrs, members, kind, test, judge, max_formulas):
     other_bits = tuple(sum(1 << t for t, k in enumerate(ks) if k) for ks in others)
     describe = _describer(st, attrs)
     regions: tuple[set[Formula], set[Formula]] = (set(), set())
-    added: set[tuple[int, int]] = set()
     for (s, inside), i in first.items():
         counts, mask = others[inside], near[s] & other_bits[inside]
-        own, other = judge(((*rows.product(s, t), counts[t]) for t in _bits(mask)) if mask else ())
-        for side, hit in enumerate((own, other) if inside else (other, own)):
-            if hit and (s, side) not in added:
-                added.add((s, side))
-                regions[side].update(describe(i, max_formulas))
+        if not mask or kind is TNorm.PRODUCT and judge((*rows.product(s, t), counts[t]) for t in _bits(mask)):
+            regions[not inside].update(describe(i, max_formulas))
     return frozenset(regions[0]), frozenset(regions[1])
 
 

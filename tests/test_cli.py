@@ -759,6 +759,8 @@ class TestRegionBuilderCalls:
         [
             ("description_regions_alpha_sim", ("--table", SETVALUED8, "--method", "alpha-sim", "--alpha", "0.3")),
             ("description_regions_alpha_meaning", ("--table", SETVALUED8, "--method", "alpha-meaning", "--alpha", "0.5")),
+            ("description_regions_approx", ("--table", SETVALUED8, "--method", "approx", "--tnorm", "prod", "--alpha", "0")),
+            ("description_regions_confidence", ("--table", SETVALUED8, "--method", "confidence", "--alpha", "0.6")),
             ("regions_computational", ("--table", COMPLETE6, "--method", "eq-complete")),
             ("description_regions_complete", ("--table", COMPLETE6, "--method", "cdl-complete")),
         ],

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 from fractions import Fraction as Fr
 
 import pytest
@@ -15,10 +16,12 @@ from threeway import (
     description_regions_alpha_sim,
     description_regions_approx,
     object_description,
+    parse_table,
     partition,
     similarity,
     similarity_matrix,
     similarity_single,
+    to_set_valued,
 )
 from threeway.fuzzy import format_decimal
 
@@ -287,3 +290,62 @@ def test_min_forms_no_product(setvalued8, class4, product_calls, builder, alpha)
     dpos, dneg = builder(setvalued8, ATTR_ORDER, alpha, class4, TNorm.MIN)
     assert product_calls == []
     assert dpos or dneg
+
+
+@pytest.fixture
+def described(monkeypatch):
+    """Positions of the objects whose descriptions the similarity kernel
+    lists, one per call of its ``describe``."""
+    module = importlib.import_module("threeway.similarity")
+    calls = []
+    original = module._describer
+
+    def counted_describer(st, attrs):
+        describe = original(st, attrs)
+
+        def counted(i, max_formulas=math.inf):
+            calls.append(i)
+            return describe(i, max_formulas)
+
+        return counted
+
+    monkeypatch.setattr(module, "_describer", counted_describer)
+    return calls
+
+
+# y1 (in the class) and y2 (not) share one row.
+MIXED_ROW = """\
+@attributes a b
+@domain a 1 2
+@domain b 1 2
+@objects
+y1 1 {1|2}
+y2 1 {1|2}
+y3 2 1
+y4 * 2
+"""
+
+
+@pytest.mark.parametrize("alpha", [Fr(0), Fr(1, 3), Fr(1, 2), Fr(1)])
+@pytest.mark.parametrize("kind", list(TNorm))
+@pytest.mark.parametrize("builder", [description_regions_alpha_sim, description_regions_approx])
+@pytest.mark.parametrize("table", ["setvalued8", "mixed_row"])
+def test_work_per_row_and_membership(setvalued8, class4, product_calls, described, table, builder, kind, alpha):
+    # Objects of one row and membership share their verdict and their
+    # descriptions; min forms no product, and approx at alpha = 0 puts
+    # every object in both regions from one description each.
+    if table == "setvalued8":
+        st, attrs, members = setvalued8, ATTR_ORDER, class4
+    else:
+        st, attrs, members = to_set_valued(parse_table(MIXED_ROW)), ("a", "b"), {"y1", "y3"}
+
+    def key(x):
+        return tuple(st.cell(x, a) for a in attrs), x in members
+
+    builder(st, attrs, alpha, members, kind)
+    keys = [key(st.objects[i]) for i in described]
+    assert len(keys) == len(set(keys))
+    if kind is TNorm.MIN:
+        assert product_calls == []
+    if builder is description_regions_approx and alpha == 0:
+        assert set(keys) == {key(x) for x in st.objects}

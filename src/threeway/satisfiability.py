@@ -18,7 +18,7 @@ an atom never lowers N: an object that misses alpha on a formula misses
 it on every extension, and a formula's acceptance (rejection) confidence
 is at most the class (complement) side's max D under MIN and
 1 - prod (1 - D) under PRODUCT, neither growing down the tree. The same
-walk, cut nowhere, gives every formula's degrees (:func:`strict_degrees`).
+walk, cut nowhere, lists each size in order (:func:`strict_degrees`).
 No production path calls ``sat_degree``, ``sat_profile``,
 ``alpha_meaning_set``, ``confidence`` or ``confidence_closed``, which
 evaluate the defining expressions and serve as references.
@@ -34,7 +34,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .fuzzy import ONE, ZERO, TNorm, as_degree, check_kind, degree_terms, implication, negate, tnorm
-from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size, formula_rank_for
+from .language import DEFAULT_MAX_FORMULAS, STRICT, Atom, Formula, _formula, check_cdl_size
 from .table import NA, SetValuedTable, _bits
 
 
@@ -85,19 +85,16 @@ def strict_degrees(
     """Every strict formula on ``attrs`` in ``enumerate_cdl`` order, each with
     ``{object: N}``, in object order, over its objects of degree 1/N > 0."""
     attrs = st.attr_subset(attrs)
-    schemas = tuple(map(st.schema, attrs))
-    check_cdl_size(schemas, STRICT, max_formulas)
-    out = []
+    check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    by_size = [[] for _ in attrs]
 
     def visit(atoms, ns, bits) -> tuple[bool, bool, bool]:
         at = {i: n for n, b, below in zip(ns, bits, (0, *bits)) for i in _bits(b & ~below)}
-        out.append((_formula((atoms,)), {st.objects[i]: at[i] for i in sorted(at)}))
+        by_size[len(atoms) - 1].append((_formula((atoms,)), {st.objects[i]: at[i] for i in sorted(at)}))
         return False, False, True
 
     _search(st, attrs, kind, visit)
-    key = formula_rank_for(schemas)
-    out.sort(key=lambda entry: key(entry[0]))
-    return out
+    return [entry for entries in by_size for entry in entries]
 
 
 def alpha_meaning_set(st: SetValuedTable, p: Formula, alpha, kind: TNorm) -> frozenset[str]:
@@ -259,9 +256,9 @@ def _search(
     st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm, visit: Callable[..., tuple[bool, bool, bool]],
     cap: float = math.inf,
 ) -> tuple[frozenset[Formula], frozenset[Formula]]:
-    """Depth first over the set-enumeration tree of the strict formulas on
-    ``attrs``, whose children add one atom on a later attribute; returns
-    the (positive, negative) regions that ``visit`` puts formulas in.
+    """Depth first, children in order, over the set-enumeration tree of the
+    strict formulas on ``attrs``, whose children add an atom on a later
+    attribute; returns the (positive, negative) regions ``visit`` fills.
 
     ``visit`` gets a formula's atoms and levels: denominators ``ns`` and
     bitsets (bit i for ``st.objects[i]``) of its objects of degree 1/N > 0
@@ -269,7 +266,7 @@ def _search(
     ladder over the cell sizes, ascending, so a child's levels are its
     parent's ANDed with its atom's; under PRODUCT, those with N = ns[k].
     It returns whether the formula is in each region, and whether its
-    children are searched.
+    children are searched. Each size comes in ``enumerate_cdl`` order.
     """
     check_kind(kind)
     cap = min(cap, math.prod(len(st.schema(a).domain) for a in attrs))  # an int from here
@@ -308,6 +305,7 @@ def _search(
     dneg: set[Formula] = set()
     while stack:
         prefix, start, ns, bits = stack.pop()
+        children = []
         for j in range(start, len(levels)):
             for atom, column in levels[j]:
                 atoms = prefix + (atom,)
@@ -320,5 +318,6 @@ def _search(
                     if neg:
                         dneg.add(p)
                 if below and j + 1 < len(levels):
-                    stack.append((atoms, j + 1, child_ns, child_bits))
+                    children.append((atoms, j + 1, child_ns, child_bits))
+        stack += children[::-1]
     return frozenset(dpos), frozenset(dneg)

@@ -152,6 +152,7 @@ def description_regions_alpha_sim(
     members = st.class_set(x_set)
     attrs = st.attr_subset(attrs)
     a, b = degree_terms(alpha)
+    exact = check_kind(kind) is TNorm.MIN or a in (0, b)
 
     def judge(others):
         # The class of x holds x; it stays on x's side unless some object
@@ -159,7 +160,7 @@ def description_regions_alpha_sim(
         # minimum of its factors, so under prod only a candidate can be.
         return not any(n * b >= a * d for n, d, _ in others)
 
-    return _object_regions(st, attrs, members, kind, lambda n, d: n * b >= a * d, judge, max_formulas)
+    return _object_regions(st, attrs, members, lambda n, d: n * b >= a * d, None if exact else judge, max_formulas)
 
 
 def approximability(
@@ -234,23 +235,23 @@ def description_regions_approx(
     attrs = st.attr_subset(attrs)
     a, b = degree_terms(alpha)
     # The closed forms of :func:`approximability_closed`: toward x's own side
-    # 1 - G folds over the other side. Under min a candidate (G > 1 - alpha)
-    # decides; under prod every candidate (G > 0) folds in, unless alpha = 0,
-    # which every product reaches. Toward the other side the degree is 0, as
-    # G(x, x) = 1; it reaches alpha only at alpha = 0, where every object is
-    # in both regions.
-    lowers = (lambda n, d: n * b > (b - a) * d) if kind is TNorm.MIN else (lambda n, d: n > 0)
+    # 1 - G folds over the other side. A candidate (G > 1 - alpha) decides
+    # under min, and under prod at alpha 0 and 1; else every candidate (G > 0)
+    # folds in. Toward the other side the degree is 0, as G(x, x) = 1; it
+    # reaches alpha only at alpha = 0, where every object is in both regions.
+    exact = check_kind(kind) is TNorm.MIN or a in (0, b)
+    lowers = (lambda n, d: n * b > (b - a) * d) if exact else (lambda n, d: n > 0)
 
     def judge(others):
         num = den = 1
-        for n, d, count in others if a else ():
+        for n, d, count in others:
             num *= (d - n) ** count
             den *= d**count
             if num * b < a * den:
                 break  # every further factor is at most 1
         return num * b >= a * den
 
-    dpos, dneg = _object_regions(st, attrs, members, kind, lowers, judge, max_formulas)
+    dpos, dneg = _object_regions(st, attrs, members, lowers, None if exact else judge, max_formulas)
     return (dpos, dneg) if a else (dpos | dneg,) * 2
 
 
@@ -293,21 +294,20 @@ class _Rows:
         return num, den
 
 
-def _object_regions(st, attrs, members, kind, test, judge, max_formulas):
+def _object_regions(st, attrs, members, test, judge, max_formulas):
     """Union of the descriptions of the objects in each region (positive,
     negative); an object is only ever put in its own side's region.
 
     An object's candidates are the rows within ``test`` of its row that
-    hold objects on the other side of the class ``members``. Under min
-    ``test`` is exact, so the object is in its region iff it has no
-    candidate. Under prod ``judge`` decides: it gets the candidates as a
+    hold objects on the other side of the class ``members``. Without a
+    ``judge``, ``test`` is exact, so the object is in its region iff it has
+    no candidate. Otherwise ``judge`` decides: it gets the candidates as a
     lazy stream of (PRODUCT degree numerator, denominator, number of those
     objects), one item per row, and returns whether the object is in its
     region; it is asked only when a candidate exists. Objects of one row and
     membership share the verdict and their descriptions, so both are taken
     at the first such object. Those come in object order, so the description
     guard fires on the object a per-object evaluation would."""
-    check_kind(kind)
     rows = _Rows(st, attrs)
     near = rows.within(test)
     # others[inside][t]: objects of row t on the other side from an object
@@ -324,7 +324,7 @@ def _object_regions(st, attrs, members, kind, test, judge, max_formulas):
     regions: tuple[set[Formula], set[Formula]] = (set(), set())
     for (s, inside), i in first.items():
         counts, mask = others[inside], near[s] & other_bits[inside]
-        if not mask or kind is TNorm.PRODUCT and judge((*rows.product(s, t), counts[t]) for t in _bits(mask)):
+        if not mask or judge and judge((*rows.product(s, t), counts[t]) for t in _bits(mask)):
             regions[not inside].update(describe(i, max_formulas))
     return frozenset(regions[0]), frozenset(regions[1])
 

@@ -14,9 +14,11 @@ search's degrees are compared on tables of 65-80 mostly distinct rows,
 where the kernels' bitsets are wider than 64 bits, and edge cases put
 the object under test past the 64th bit. The language search's
 per-formula degrees are compared with the reference profile of every
-formula, and the complete-table language route with reference copies
-that evaluate every formula's meaning set. The indexed class-specific
-resolution is compared with a reference copy of the per-cell peer scan.
+formula, its visit order under a pruning visit with
+``formula_sort_key_for``, and the complete-table language route with
+reference copies that evaluate every formula's meaning set. The indexed
+class-specific resolution is compared with a reference copy of the
+per-cell peer scan.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ from threeway import (
     to_set_valued,
 )
 from conftest import formula
-from threeway.language import STRICT, cdl_size
-from threeway.satisfiability import strict_degrees
+from threeway.fuzzy import degree_terms
+from threeway.language import STRICT, Formula, cdl_size, formula_sort_key_for
+from threeway.satisfiability import _search, strict_degrees
 
 DIFFERENTIAL = settings(
     max_examples=200,
@@ -579,6 +582,31 @@ def test_strict_degrees_match_sat_profile_deep(kind, case):
 def test_strict_degrees_match_sat_profile_wide(kind, case):
     table, attrs, _ = case
     _assert_strict_degrees_match_profiles(table, attrs, kind)
+
+
+@pytest.mark.parametrize("kind", list(TNorm))
+@pytest.mark.parametrize("tables", [pooled_tables, deep_tables, wide_tables])
+@DEEP
+@given(st.data())
+def test_search_visits_each_size_in_rank_order(tables, kind, data):
+    """The search meets the formulas of each size in ``formula_sort_key_for``
+    order, each once, whatever its visit prunes; here a cut like
+    alpha-meaning's, which searches a subtree while some object has a
+    degree of at least the drawn alpha, and above 0 at alpha 0."""
+    table, attrs, _ = data.draw(tables())
+    a, b = degree_terms(_alpha(data.draw, COMMON_ALPHAS))
+    visited = []
+
+    def visit(atoms, ns, bits):
+        visited.append(atoms)
+        return False, False, any(bits)
+
+    _search(table, attrs, kind, visit, b // a if a else float("inf"))
+    assert len(set(visited)) == len(visited)
+    key = formula_sort_key_for(tuple(map(table.schema, attrs)))
+    for size in range(1, len(attrs) + 1):
+        keys = [key(Formula(atoms)) for atoms in visited if len(atoms) == size]
+        assert keys == sorted(keys), size
 
 
 # --------------------------------------------------------------------------

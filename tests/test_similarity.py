@@ -332,8 +332,9 @@ y4 * 2
 @pytest.mark.parametrize("table", ["setvalued8", "mixed_row"])
 def test_work_per_row_and_membership(setvalued8, class4, product_calls, described, table, builder, kind, alpha):
     # Objects of one row and membership share their verdict and their
-    # descriptions; min forms no product, and approx at alpha = 0 puts
-    # every object in both regions from one description each.
+    # descriptions; min, and prod at alpha 0 and 1, form no product, and
+    # approx at alpha = 0 puts every object in both regions from one
+    # description each.
     if table == "setvalued8":
         st, attrs, members = setvalued8, ATTR_ORDER, class4
     else:
@@ -345,7 +346,7 @@ def test_work_per_row_and_membership(setvalued8, class4, product_calls, describe
     builder(st, attrs, alpha, members, kind)
     keys = [key(st.objects[i]) for i in described]
     assert len(keys) == len(set(keys))
-    if kind is TNorm.MIN:
+    if kind is TNorm.MIN or alpha in (0, 1):
         assert product_calls == []
     if builder is description_regions_approx and alpha == 0:
         assert set(keys) == {key(x) for x in st.objects}

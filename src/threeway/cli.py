@@ -19,7 +19,6 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from pathlib import Path
 from typing import Sequence
 
 from .complete import description_regions_complete, regions_computational
@@ -157,7 +156,8 @@ def _warn(message: str) -> None:
 
 def _load_table(args) -> SetValuedTable:
     """The ``--table`` file; its parse warnings are printed, also when it fails."""
-    text = Path(args.table).read_text(encoding="utf-8-sig")
+    with open(args.table, encoding="utf-8-sig") as f:
+        text = f.read()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

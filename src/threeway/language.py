@@ -285,6 +285,36 @@ def _json_key(k: str) -> str:
     return _quote(k) + ": "
 
 
+def _write_container(o, pad: str, leaf: Callable, out: list[str], write: Callable[[str], object]) -> None:
+    """Append the text of dict, list or tuple ``o`` at indent ``pad`` to
+    ``out`` for :func:`write_json`, flushing full batches through ``write``;
+    ``leaf`` gives the text of a scalar or formula, ``None`` for a container.
+    Module level, as a closure that calls itself would be a reference cycle."""
+    is_dict = isinstance(o, dict)
+    if not o:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = pad + "  "
+    if is_dict:  # the C encoder rejects a key that is not a str
+        items = zip(map(_json_key, o), o.values())
+        sep, close = "{" + inner, pad + "}"
+    else:
+        items = zip(itertools.repeat(""), o)
+        sep, close = "[" + inner, pad + "]"
+    for head, v in items:
+        text = leaf(v, inner)
+        if text is None:
+            out.append(sep + head)
+            _write_container(v, inner, leaf, out, write)
+        else:
+            out.append(sep + head + text)
+        sep = "," + inner
+        if len(out) >= _JSON_BATCH:
+            write("".join(out))
+            out.clear()
+    out.append(close)
+
+
 def write_json(obj, write: Callable[[str], object]) -> None:
     """Write the text of ``json.dumps(obj, indent=2) + "\\n"`` through
     ``write``, in batches of joined pieces rather than one string.
@@ -330,34 +360,9 @@ def write_json(obj, write: Callable[[str], object]) -> None:
             return None
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
-    def container(o, pad: str) -> None:
-        is_dict = isinstance(o, dict)
-        if not o:
-            out.append("{}" if is_dict else "[]")
-            return
-        inner = pad + "  "
-        if is_dict:  # the C encoder rejects a key that is not a str
-            items = zip(map(_json_key, o), o.values())
-            sep, close = "{" + inner, pad + "}"
-        else:
-            items = zip(itertools.repeat(""), o)
-            sep, close = "[" + inner, pad + "]"
-        for head, v in items:
-            text = leaf(v, inner)
-            if text is None:
-                out.append(sep + head)
-                container(v, inner)
-            else:
-                out.append(sep + head + text)
-            sep = "," + inner
-            if len(out) >= _JSON_BATCH:
-                write("".join(out))
-                out.clear()
-        out.append(close)
-
     text = leaf(obj, "\n")
     if text is None:
-        container(obj, "\n")
+        _write_container(obj, "\n", leaf, out, write)
     else:
         out.append(text)
     out.append("\n")

@@ -37,7 +37,7 @@ import math
 import re
 import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import NoReturn
 
 from .errors import (
@@ -57,51 +57,87 @@ NA = "NA"
 DEFAULT_MAX_WORLDS = 2**20
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
+class _Record(tuple):
+    """Frozen record: the tuple ``(kind, *fields)``, where ``kind`` is the
+    class name, so that hashing and equality run in C and records of two
+    kinds never compare equal. ``__match_args__`` names the fields."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class AttributeSchema(_Record):
     """An attribute name plus its ordered, duplicate-free domain."""
 
-    name: str
-    domain: tuple[str, ...]
+    __slots__ = ()
+    __match_args__ = ("name", "domain")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, domain: tuple[str, ...]) -> AttributeSchema:
+        if not name:
             raise ValueError("attribute name must be nonempty")
-        if not self.domain:
-            raise ValueError(f"attribute {self.name!r} has an empty domain")
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError(f"attribute {self.name!r} has duplicate domain values")
-        if NA in self.domain:
-            raise ValueError(f"attribute {self.name!r} lists {NA} in its domain")
+        if not domain:
+            raise ValueError(f"attribute {name!r} has an empty domain")
+        if len(set(domain)) != len(domain):
+            raise ValueError(f"attribute {name!r} has duplicate domain values")
+        if NA in domain:
+            raise ValueError(f"attribute {name!r} lists {NA} in its domain")
+        return tuple.__new__(cls, ("AttributeSchema", name, domain))
+
+    name = property(itemgetter(1))
+    domain = property(itemgetter(2))
 
 
-@dataclass(frozen=True)
-class Known:
-    value: str
+class Known(_Record):
+    __slots__ = ()
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: str) -> Known:
+        return tuple.__new__(cls, ("Known", value))
+
+    value = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class DoNotCare:
-    pass
+class DoNotCare(_Record):
+    __slots__ = ()
+
+    def __new__(cls) -> DoNotCare:
+        return tuple.__new__(cls, ("DoNotCare",))
 
 
-@dataclass(frozen=True)
-class Partial:
-    values: frozenset[str]
+class Partial(_Record):
+    __slots__ = ()
+    __match_args__ = ("values",)
 
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
+    def __new__(cls, values: frozenset[str]) -> Partial:
+        if len(values) < 2:
             raise ValueError("partially-known cell needs at least 2 distinct values")
+        return tuple.__new__(cls, ("Partial", values))
+
+    values = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class ClassSpecific:
-    ref_attr: str
+class ClassSpecific(_Record):
+    __slots__ = ()
+    __match_args__ = ("ref_attr",)
+
+    def __new__(cls, ref_attr: str) -> ClassSpecific:
+        return tuple.__new__(cls, ("ClassSpecific", ref_attr))
+
+    ref_attr = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class NotApplicable:
-    pass
+class NotApplicable(_Record):
+    __slots__ = ()
+
+    def __new__(cls) -> NotApplicable:
+        return tuple.__new__(cls, ("NotApplicable",))
 
 
 # A PEP 604 union, not typing.Union: typing caches Union objects, and the
@@ -143,47 +179,55 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, eq=False)
 class _Grid:
     """Objects x attributes grid: shape checks, O(1) id indexes, and the
     object, attribute-subset and class checks every route relies on.
     ``cells`` is any total mapping of hashable cells, kept as a
-    :class:`_Cells` view in which equal cells of a column share one code."""
+    :class:`_Cells` view in which equal cells of a column share one code.
 
-    objects: tuple[str, ...]
-    attributes: tuple[AttributeSchema, ...]
-    cells: Mapping[tuple[str, str], object]
+    A frozen record of ``objects``, ``attributes`` and ``cells`` that
+    compares and hashes by identity."""
 
-    def __post_init__(self) -> None:
-        if not self.objects:
+    __match_args__ = ("objects", "attributes", "cells")
+
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        attributes: tuple[AttributeSchema, ...],
+        cells: Mapping[tuple[str, str], object],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "objects", objects)
+        set_field(self, "attributes", attributes)
+        set_field(self, "cells", cells)
+        if not objects:
             raise ValueError("table needs at least one object")
-        if not self.attributes:
+        if not attributes:
             raise ValueError("table needs at least one attribute")
-        cells = self.cells
         # A view over these objects brings its object index; one per object
         # means no identifier repeats.
-        view = isinstance(cells, _Cells) and cells.objects == self.objects
-        positions = cells.positions if view else {x: i for i, x in enumerate(self.objects)}
-        if len(positions) != len(self.objects):
+        view = isinstance(cells, _Cells) and cells.objects == objects
+        positions = cells.positions if view else {x: i for i, x in enumerate(objects)}
+        if len(positions) != len(objects):
             raise ValueError("duplicate object identifiers")
-        by_name = {a.name: a for a in self.attributes}
-        if len(by_name) != len(self.attributes):
+        by_name = {a.name: a for a in attributes}
+        if len(by_name) != len(attributes):
             raise ValueError("duplicate attribute names")
-        object.__setattr__(self, "_by_name", by_name)
+        set_field(self, "_by_name", by_name)
         if not (view and tuple(cells.columns) == tuple(by_name)):
-            if len(cells) != len(self.objects) * len(self.attributes):
+            if len(cells) != len(objects) * len(attributes):
                 raise ValueError("cells map is not total over objects x attributes")
             columns = {}
             try:
                 for a in by_name:
                     index: dict[object, int] = {}
-                    codes = [index.setdefault(cells[(x, a)], len(index)) for x in self.objects]
+                    codes = [index.setdefault(cells[(x, a)], len(index)) for x in objects]
                     columns[a] = (tuple(index), tuple(codes))
             except KeyError:  # n*m keys, some off the grid: name the first hole in grid order
-                x, a = next(key for key in itertools.product(self.objects, by_name) if key not in cells)
+                x, a = next(key for key in itertools.product(objects, by_name) if key not in cells)
                 raise ValueError(f"missing cell ({x}, {a})") from None
-            cells = _Cells(self.objects, positions, columns)
-        object.__setattr__(self, "cells", cells)
+            cells = _Cells(objects, positions, columns)
+            set_field(self, "cells", cells)
         # Check each distinct cell once, by its code; ``_problem`` gives the
         # end of the error message for a bad cell of column ``name``.
         bad = {}
@@ -194,7 +238,19 @@ class _Grid:
         if bad:
             codes = [c for _, c in cells.columns.values()]
             i, j = _first_bad(codes, bad)
-            raise ValueError(f"cell ({self.objects[i]}, {self.attributes[j].name}){bad[j][codes[j][i]]}")
+            raise ValueError(f"cell ({objects[i]}, {attributes[j].name}){bad[j][codes[j][i]]}")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(objects={self.objects!r}, "
+            f"attributes={self.attributes!r}, cells={self.cells!r})"
+        )
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -250,11 +306,8 @@ class _Grid:
         return members
 
 
-@dataclass(frozen=True, eq=False)
 class IncompleteTable(_Grid):
     """Objects x attributes grid whose cells may carry incomplete values."""
-
-    cells: Mapping[tuple[str, str], Cell]
 
     def _problem(self, name: str, cell: Cell, domain: set[str]) -> str | None:
         if not isinstance(cell, Cell):
@@ -270,14 +323,11 @@ class IncompleteTable(_Grid):
         return None
 
 
-@dataclass(frozen=True, eq=False)
 class SetValuedTable(_Grid):
     """Canonical table form: every cell is a nonempty token set.
 
     ``NA`` appears only as the singleton ``{NA}``; mixed cells are rejected.
     """
-
-    cells: Mapping[tuple[str, str], frozenset[str]]
 
     def _problem(self, name: str, values: frozenset[str], domain: set[str]) -> str | None:
         if not isinstance(values, frozenset):

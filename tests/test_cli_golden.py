@@ -13,6 +13,7 @@ Rewrite ``data/cli_golden.json`` only when output is meant to change:
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -140,6 +141,21 @@ def test_json_golden_is_the_stdlib_encoding(golden, argv):
         assert want["stdout"] == ""
     else:
         assert want["stdout"] == json.dumps(json.loads(want["stdout"]), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_golden_case_leaves_no_cyclic_garbage(argv):
+    """A call frees what it made by reference counting alone: with the
+    collector off, a second run of the case leaves nothing for it. The
+    first run loads what a command loads once per process."""
+    run(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        run(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("command", UNICODE_COMMANDS, ids=lambda c: c[0])

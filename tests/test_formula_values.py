@@ -281,5 +281,7 @@ def test_only_the_kernels_skip_the_checks():
                 if isinstance(node, ast.Name) and node.id == "_formula" and isinstance(node.ctx, ast.Load):
                     found.add((path.name, getattr(top, "name", None)))
                 if isinstance(node, ast.Attribute) and node.attr == "__new__":
-                    assert path.name == "language.py", (path.name, node.lineno)
+                    # The table records build themselves with tuple.__new__;
+                    # table.py is imported by language.py and never sees Formula.
+                    assert path.name in ("language.py", "table.py"), (path.name, node.lineno)
     assert found == allowed

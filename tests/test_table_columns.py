@@ -10,7 +10,6 @@ tables built from dicts with some cells made bad.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import NamedTuple
 
@@ -168,7 +167,7 @@ def _read_only(table) -> None:
         table.cells[key] = table.cells[key]
     with pytest.raises(TypeError):
         del table.cells[key]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         table.cells = {}
     assert key in table.cells and ("nobody", key[1]) not in table.cells
     assert table.cells.get(("nobody", key[1])) is None

@@ -74,39 +74,35 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
+    """The parser, built once per process: parsing leaves it unchanged.
+    Subcommands share the table and method options through parent
+    parsers, so each option is built once."""
     parser = argparse.ArgumentParser(
         prog="threeway",
         description="Induce three-way decision rules from complete and incomplete tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table, method = _table_options(), _method_options()
 
-    regions = sub.add_parser("regions", help="compute description regions")
-    _add_table_options(regions)
-    _add_method_options(regions)
+    regions = sub.add_parser("regions", help="compute description regions", parents=[table, method])
     regions.set_defaults(handler=_cmd_regions)
 
-    rules = sub.add_parser("rules", help="derive three-way decision rules")
-    _add_table_options(rules)
-    _add_method_options(rules)
+    rules = sub.add_parser("rules", help="derive three-way decision rules", parents=[table, method])
     rules.set_defaults(handler=_cmd_rules)
 
-    similarity = sub.add_parser("similarity", help="print the pairwise similarity matrix")
-    _add_table_options(similarity)
+    similarity = sub.add_parser("similarity", help="print the pairwise similarity matrix", parents=[table])
     similarity.add_argument("--tnorm", choices=[k.value for k in TNorm], default="min")
     similarity.add_argument("--exact", action="store_true", help="print exact fractions in text mode")
     similarity.set_defaults(handler=_cmd_similarity)
 
     satisfiability = sub.add_parser(
-        "satisfiability", help="print per-formula satisfiability degrees"
+        "satisfiability", help="print per-formula satisfiability degrees", parents=[table]
     )
-    _add_table_options(satisfiability)
     satisfiability.add_argument("--tnorm", choices=[k.value for k in TNorm], default="min")
     satisfiability.add_argument("--max-formulas", type=_cap, default=DEFAULT_MAX_FORMULAS)
     satisfiability.set_defaults(handler=_cmd_satisfiability)
 
-    oracle = sub.add_parser("oracle-check", help="run brute-force consistency checks")
-    _add_table_options(oracle)
+    oracle = sub.add_parser("oracle-check", help="run brute-force consistency checks", parents=[table])
     oracle.add_argument("--class", dest="class_ids", default=None)
     oracle.add_argument("--alpha", default=None)
     oracle.add_argument("--max-worlds", type=_cap, default=DEFAULT_MAX_WORLDS)
@@ -115,14 +111,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_table_options(p: argparse.ArgumentParser) -> None:
+def _table_options() -> argparse.ArgumentParser:
+    """Parent parser of the options every subcommand takes."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--table", required=True, help="path to an .itab file")
     p.add_argument("--attrs", default=None, help="comma-separated condition attributes")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    return p
 
 
-def _add_method_options(p: argparse.ArgumentParser) -> None:
+def _method_options() -> argparse.ArgumentParser:
+    """Parent parser of the options of ``regions`` and ``rules``."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--class", dest="class_ids", default=None, help="comma-separated object ids")
     p.add_argument("--class-column", default=None, help="decision attribute naming the class")
@@ -137,6 +138,7 @@ def _add_method_options(p: argparse.ArgumentParser) -> None:
         help=f"drop ({NA}) atoms from emitted rules; no argument strips every attribute",
     )
     p.add_argument("--max-formulas", type=_cap, default=DEFAULT_MAX_FORMULAS)
+    return p
 
 
 def _cap(text: str) -> int:

@@ -37,7 +37,7 @@ import math
 import re
 import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from operator import itemgetter
+from operator import add, getitem, itemgetter
 from typing import NoReturn
 
 from .errors import (
@@ -365,18 +365,21 @@ def resolve_class_specific(it: IncompleteTable, x: str, a: str) -> frozenset[str
     if not isinstance(cell, ClassSpecific):
         raise ValueError(f"cell ({x}, {a}) is not class-specific")
     ref_attr = cell.ref_attr
-    return _resolve(x, a, ref_attr, it.cell(x, ref_attr), _peer_values(it, ref_attr, a))
-
-
-def _peer_values(it: IncompleteTable, ref_attr: str, a: str) -> dict[str, frozenset[str]]:
-    """Known values of ``a``, keyed by the known value of ``ref_attr``
-    beside them, from the distinct code pairs of the two columns. An
-    object's own class-specific cell is not known, so it never supplies
-    its own resolution."""
-    ref_cells, ref_codes = it.column(ref_attr)
     cells, codes = it.column(a)
+    pairs = set(map(add, map(len(cells).__mul__, it.column(ref_attr)[1]), codes))
+    return _resolve(x, a, ref_attr, it.cell(x, ref_attr), _peer_values(it, ref_attr, a, pairs, len(cells)))
+
+
+def _peer_values(
+    it: IncompleteTable, ref_attr: str, a: str, pairs: Iterable[int], width: int
+) -> dict[str, frozenset[str]]:
+    """Known values of ``a``, keyed by the known value of ``ref_attr``
+    beside them, from the distinct code pairs of the two columns, each
+    coded as ``ref_code * width + code``. An object's own class-specific
+    cell is not known, so it never supplies its own resolution."""
+    ref_cells, cells = it.column(ref_attr)[0], it.column(a)[0]
     peers: dict[str, set[str]] = {}
-    for r, c in set(zip(ref_codes, codes)):
+    for r, c in map(divmod, pairs, itertools.repeat(width)):
         ref, cell = ref_cells[r], cells[c]
         if isinstance(ref, Known) and isinstance(cell, Known):
             peers.setdefault(ref.value, set()).add(cell.value)
@@ -405,14 +408,20 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
     Known(v) maps to {v}, do-not-care to the full domain, partially-known
     to its value set, class-specific to its resolution, non-applicable to
     {NA}. Each distinct cell of a column is mapped once, over the column's
-    codes. A column holding class-specific cells indexes peer values once
-    per (reference attribute, attribute) pair and walks its holders once,
-    in object order: each distinct (class-specific cell, reference cell)
-    pair resolves at its first holder, so resolved sets are coded in object
-    order, and the column stops at its first failing holder. The first
-    cell that fails to resolve, in row-major order, raises.
+    codes; a column whose cells all map to distinct sets keeps its codes.
+    A column holding class-specific cells codes each object's (reference
+    code, code) pair as the int ``ref_code * width + code``, ``width``
+    being the widest column, against the reference attribute of the
+    object's own cell. Its distinct pairs, in first-holder order, give the
+    peer index of each (reference attribute, attribute) pair and the pairs
+    to resolve: each resolves once, at its first holder, so resolved sets
+    are coded in object order, and the column stops at its first failing
+    pair. One map over the pairs then codes the column. The first cell
+    that fails to resolve, in row-major order, raises.
     """
-    columns: dict[str, tuple[dict[frozenset[str], int], list[int]]] = {}
+    width = max(len(cells) for cells, _ in it.cells.columns.values())
+    scaled: dict[str, list[int]] = {}  # per reference attribute: its codes times width
+    columns: dict[str, tuple[dict[frozenset[str], int], Sequence[int]]] = {}
     failures: list[tuple[int, int, ResolutionError]] = []
     for j, schema in enumerate(it.attributes):
         a = schema.name
@@ -420,29 +429,40 @@ def to_set_valued(it: IncompleteTable) -> SetValuedTable:
         index: dict[frozenset[str], int] = {}
         values = [_values(cell, schema) for cell in cells]
         recode = [None if v is None else index.setdefault(v, len(index)) for v in values]
-        coded = list(map(recode.__getitem__, codes))
-        columns[a] = (index, coded)
         if None not in recode:
+            columns[a] = (index, codes if len(index) == len(cells) else tuple(map(recode.__getitem__, codes)))
             continue
-        # Per class-specific code: its reference attribute, that column and the peer index.
-        refs = {c: (cell.ref_attr, *it.column(cell.ref_attr), _peer_values(it, cell.ref_attr, a))
-                for c, cell in enumerate(cells) if recode[c] is None}
-        # The holders in object order; each distinct (code, reference code) resolves once.
-        resolved: dict[tuple[int, int], int] = {}
-        for i in itertools.compress(range(len(codes)), map(refs.__contains__, codes)):
-            ref_attr, ref_cells, ref_codes, peers = refs[codes[i]]
-            key = (codes[i], ref_codes[i])
-            if key not in resolved:
-                try:
-                    resolution = _resolve(it.objects[i], a, ref_attr, ref_cells[key[1]], peers)
-                except ResolutionError as exc:
-                    failures.append((i, j, exc))
-                    break
-                resolved[key] = index.setdefault(resolution, len(index))
-            coded[i] = resolved[key]
+        refs = {c: cell.ref_attr for c, cell in enumerate(cells) if recode[c] is None}
+        by_ref = {}  # per reference attribute: every object's pair against it
+        for ref_attr in dict.fromkeys(refs.values()):
+            if ref_attr not in scaled:
+                scaled[ref_attr] = list(map(width.__mul__, it.column(ref_attr)[1]))
+            by_ref[ref_attr] = list(map(add, scaled[ref_attr], codes))
+        if len(by_ref) == 1:
+            (pairs,) = by_ref.values()
+        else:  # each object takes its pair against its own cell's reference attribute
+            slot = {ref_attr: k for k, ref_attr in enumerate(by_ref)}
+            pick = [slot[refs[c]] if c in refs else 0 for c in range(len(cells))]
+            pairs = list(map(getitem, zip(*by_ref.values()), map(pick.__getitem__, codes)))
+        # The distinct pairs in first-holder order, each coded as its cell is; None to resolve.
+        distinct = dict.fromkeys(pairs)
+        code_of = dict(zip(distinct, map(recode.__getitem__, map(width.__rmod__, distinct))))
+        peers = {ref_attr: _peer_values(it, ref_attr, a, distinct if p is pairs else set(p), width)
+                 for ref_attr, p in by_ref.items()}
+        for pair in [pair for pair, code in code_of.items() if code is None]:
+            r, c = divmod(pair, width)
+            ref_attr, i = refs[c], pairs.index(pair)
+            try:
+                resolution = _resolve(it.objects[i], a, ref_attr, it.column(ref_attr)[0][r], peers[ref_attr])
+            except ResolutionError as exc:
+                failures.append((i, j, exc))
+                break
+            code_of[pair] = index.setdefault(resolution, len(index))
+        else:
+            columns[a] = (index, tuple(map(code_of.__getitem__, pairs)))
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
-    final = {a: (tuple(index), tuple(codes)) for a, (index, codes) in columns.items()}
+    final = {a: (tuple(index), codes) for a, (index, codes) in columns.items()}
     return SetValuedTable(it.objects, it.attributes, _Cells(it.objects, it.cells.positions, final))
 
 
@@ -520,6 +540,20 @@ def _column(line: str, index: int) -> int:
     return [m.start() + 1 for m in re.finditer(r"\S+", body)][index]
 
 
+def _checked_rows(rows: list[list[str]], width: int) -> tuple[dict[str, int], list[tuple[str, ...]]] | None:
+    """The id positions and cell columns of ``rows``, the token lists of
+    object rows, checked in bulk: ``width`` cells each, no ``@`` id, no id
+    twice. None if a check fails or there is no row."""
+    if set(map(len, rows)) != {width + 1}:
+        return None
+    ids, *columns = zip(*rows)
+    positions = dict(zip(ids, range(len(ids))))
+    # Ids hold no whitespace, so "\n@" marks an id that starts with "@".
+    if len(positions) != len(ids) or "\n@" in "\n".join(("", *ids)):
+        return None
+    return positions, columns
+
+
 def parse_table(text: str) -> IncompleteTable:
     """Parse ``.itab`` source into an :class:`IncompleteTable`.
 
@@ -532,22 +566,26 @@ def parse_table(text: str) -> IncompleteTable:
     be inferred, in attribute order, then out-of-domain values in
     row-major order).
 
-    Each distinct token of an attribute is parsed and checked once, and
-    the equal cells of an attribute share one instance.
+    The directives up to the first ``@objects`` are read line by line, and
+    the lines after it are checked in bulk as object rows (cell counts, ids,
+    unique ids). If that check fails, or a directive follows ``@objects``,
+    the line-by-line pass reads on to the end, which raises the first error
+    in line order. Each distinct token of an attribute is parsed and
+    checked once, and the equal cells of an attribute share one instance.
     """
     lines = text.splitlines()
+    tokenized = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
     attr_names: list[str] | None = None
     declared: dict[str, tuple[str, ...]] = {}
-    positions: dict[str, int] = {}
-    rows: list[list[str]] = []
-    row_lines: list[int] = []
+    seen: set[str] = set()
     in_objects = False
+    start = len(lines)  # index of the first line after the first @objects
+    checked = None
 
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
+    for line_no, tokens in enumerate(tokenized, start=1):
         if not tokens:
             continue
-        head = tokens[0]
+        head, raw = tokens[0], lines[line_no - 1]
         if head == "@attributes":
             if attr_names is not None:
                 raise TableParseError("duplicate @attributes directive", line_no, _column(raw, 0))
@@ -576,14 +614,17 @@ def parse_table(text: str) -> IncompleteTable:
         elif head == "@objects":
             if attr_names is None:
                 raise TableParseError("@objects before @attributes", line_no, _column(raw, 0))
-            in_objects = True
+            if not in_objects:
+                in_objects, start = True, line_no
+                if checked := _checked_rows(list(filter(None, tokenized[start:])), len(attr_names)):
+                    break
         elif head.startswith("@"):
             raise TableParseError(f"unknown directive {head!r}", line_no, _column(raw, 0))
         else:
             if not in_objects:
                 raise TableParseError("object row before @objects", line_no, _column(raw, 0))
             assert attr_names is not None
-            if head in positions:
+            if head in seen:
                 raise TableParseError(f"duplicate object id {head!r}", line_no, _column(raw, 0))
             if len(tokens) - 1 != len(attr_names):
                 raise TableParseError(
@@ -591,19 +632,20 @@ def parse_table(text: str) -> IncompleteTable:
                     line_no,
                     _column(raw, 0),
                 )
-            positions[head] = len(positions)
-            rows.append(tokens[1:])
-            row_lines.append(line_no)
+            seen.add(head)
 
     if attr_names is None:
         raise TableParseError("missing @attributes directive")
-    if not rows:
+    # Every line passed the line-by-line pass, so the bulk check fails only without rows.
+    checked = checked or _checked_rows([t for t in tokenized[start:] if t and t[0][0] != "@"], len(attr_names))
+    if checked is None:
         raise TableParseError("table has no object rows")
-    columns = list(zip(*rows))
+    positions, columns = checked
 
     def fail_first(bad: dict[int, dict[str, str]]) -> NoReturn:
         """Raise the message of the first bad token in row-major order."""
         i, j = _first_bad(columns, bad)
+        row_lines = [k for k, t in enumerate(tokenized[start:], start + 1) if t and t[0][0] != "@"]
         line_no = row_lines[i]
         raise TableParseError(bad[j][columns[j][i]], line_no, _column(lines[line_no - 1], j + 1))
 

@@ -7,8 +7,10 @@ scanned all parsed cells once per attribute. The texts drawn mix all
 five cell kinds, declared and inferred domains, comments, blank lines
 and irregular whitespace, and often carry a fault: a bad or
 out-of-domain cell, or a line deleted, repeated, swapped or cut short.
-Both sides must build equal tables, or raise the same error at the same
-line and column, and emit the same warnings.
+Some texts move a ``@domain`` line among the object rows or repeat
+``@objects`` there, which the bulk row check leaves to the line-by-line
+pass. Both sides must build equal tables, with equal columns, or raise
+the same error at the same line and column, and emit the same warnings.
 """
 
 from __future__ import annotations
@@ -223,6 +225,20 @@ def _reference_peer_values(it, ref_attr, a):
     return {key: frozenset(values) for key, values in peers.items()}
 
 
+def reference_set_valued_columns(it, sv):
+    """The columns of ``sv``, the set-valued form of ``it``, coded as
+    :func:`to_set_valued` codes them: the distinct sets of the cells that
+    are not class-specific first, then the resolved sets, each in object
+    order."""
+    columns = []
+    for a in sv.attribute_names:
+        index = {}
+        for x in sorted(it.objects, key=lambda x: isinstance(it.cell(x, a), ClassSpecific)):
+            index.setdefault(sv.cell(x, a), len(index))
+        columns.append((tuple(index), tuple(index[sv.cell(x, a)] for x in sv.objects)))
+    return columns
+
+
 def _reference_resolve(it, x, a, ref_attr, peers: Mapping[str, frozenset]):
     ref_cell = it.cell(x, ref_attr)
     if not isinstance(ref_cell, Known):
@@ -285,6 +301,12 @@ def itab_texts(draw):
     n = draw(st.integers(1, 8))
     rows = [[f"x{i}", *(draw(column) for column in columns)] for i in range(1, n + 1)]
     lines = head + [["@objects"]] + rows
+    layout = draw(st.sampled_from(("plain", "plain", "late domain", "repeated objects")))
+    if layout == "late domain" and len(head) > 1:
+        line = lines.pop(draw(st.integers(1, len(head) - 1)))
+        lines.insert(draw(st.integers(len(head), len(lines))), line)
+    elif layout == "repeated objects":
+        lines.insert(draw(st.integers(len(head) + 1, len(lines))), ["@objects"])
     if draw(st.integers(0, 3)) == 0:
         lines = _break(draw, lines)
     out = []
@@ -320,8 +342,14 @@ def _break(draw, lines):
     return lines
 
 
-def outcome(parse, convert, text):
-    """Everything observable of ingesting ``text``: tables, error, warnings."""
+def set_valued_columns(it, sv):
+    return [sv.column(a) for a in sv.attribute_names]
+
+
+def outcome(parse, convert, text, converted_columns=set_valued_columns):
+    """Everything observable of ingesting ``text``: tables and their
+    columns, error, warnings. ``converted_columns(it, sv)`` gives the
+    columns of ``sv``, the set-valued form of the parsed table ``it``."""
 
     def error(exc):
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
@@ -333,9 +361,10 @@ def outcome(parse, convert, text):
         except ThreeWayError as exc:
             parsed, converted = error(exc), None
         else:
-            parsed = (it.objects, it.attributes, list(it.cells.items()))
+            parsed = (it.objects, it.attributes, list(it.cells.items()), list(map(it.column, it.attribute_names)))
             try:
-                converted = list(convert(it).cells.items())
+                sv = convert(it)
+                converted = list(sv.cells.items()), converted_columns(it, sv)
             except ThreeWayError as exc:
                 converted = error(exc)
     seen = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
@@ -346,13 +375,14 @@ def outcome(parse, convert, text):
 @given(itab_texts())
 def test_ingest_matches_reference(text):
     assert outcome(parse_table, to_set_valued, text) == outcome(
-        reference_parse_table, reference_to_set_valued, text
+        reference_parse_table, reference_to_set_valued, text, reference_set_valued_columns
     )
 
 
 def test_drawn_texts_reach_every_outcome():
     """The strategy is not vacuous: its texts parse, fail in the line pass,
-    in a cell, in a domain and in resolution, and infer domains."""
+    in a cell, in a domain and in resolution, and infer domains; and some
+    that parse hold a directive among their object rows."""
     kinds = set()
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -373,6 +403,9 @@ def test_drawn_texts_reach_every_outcome():
             kinds.add("resolution")
         else:
             kinds.add("ok")
+        heads = [tokens[0] for tokens in map(str.split, re.sub("#.*", "", text).splitlines()) if tokens]
+        if not isinstance(parsed[0], type) and any(h[0] == "@" for h in heads[heads.index("@objects") + 1:]):
+            kinds.add("directive among rows")
 
     classify()
-    assert kinds == {"warning", "domain", "cell", "line", "resolution", "ok"}
+    assert kinds == {"warning", "domain", "cell", "line", "resolution", "ok", "directive among rows"}

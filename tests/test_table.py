@@ -110,18 +110,19 @@ class TestResolution:
 
 
 class TestResolutionWork:
-    """Each column builds one peer index per class-specific cell, and each
-    distinct (class-specific cell, reference cell) pair resolves once, at
-    its first holder in object order, up to the column's first failure."""
+    """Each column builds one peer index per (reference attribute,
+    attribute) pair, and each distinct (class-specific cell, reference
+    cell) pair resolves once, at its first holder in object order, up to
+    the column's first failure."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         log = {"peers": [], "resolve": []}
         peer_values, resolve = threeway.table._peer_values, threeway.table._resolve
 
-        def counted_peers(it, ref_attr, a):
+        def counted_peers(it, ref_attr, a, *pairs):
             log["peers"].append((ref_attr, a))
-            return peer_values(it, ref_attr, a)
+            return peer_values(it, ref_attr, a, *pairs)
 
         def counted_resolve(x, a, ref_attr, ref, peers):
             log["resolve"].append((x, a, ref_attr))
@@ -143,6 +144,20 @@ class TestResolutionWork:
         assert [st.cell(x, "a") for x in ("x3", "x4", "x5", "x6", "x7", "x8")] == [
             frozenset(v) for v in ({"1"}, {"1", "2"}, {"1"}, {"2", "3"}, {"3"}, {"1", "2"})
         ]
+
+    def test_interleaved_references_code_in_first_holder_order(self, calls):
+        """A column whose class-specific cells name two references resolves
+        its pairs in first-holder order across both, and codes the resolved
+        sets after the sets of its other cells, in that order."""
+        src = (
+            "@attributes a b c\n@domain a 1 2 3\n@domain b 1 2\n@domain c 1 2\n@objects\n"
+            "x1 1 1 1\nx2 ^(c) 1 2\nx3 ^(b) 2 1\nx4 3 2 2\nx5 ^(c) 2 1\nx6 ^(b) 1 2\nx7 2 2 1\n"
+        )
+        st = to_set_valued(parse_table(src))
+        assert calls["peers"] == [("c", "a"), ("b", "a")]
+        assert calls["resolve"] == [("x2", "a", "c"), ("x3", "a", "b"), ("x5", "a", "c"), ("x6", "a", "b")]
+        sets = tuple(frozenset(v) for v in ({"1"}, {"3"}, {"2"}, {"2", "3"}, {"1", "2"}))
+        assert st.column("a") == (sets, (0, 1, 3, 1, 4, 0, 2))
 
     def test_columns_stop_at_their_first_failure(self, calls):
         src = (

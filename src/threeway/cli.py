@@ -18,22 +18,23 @@ import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
 from typing import Sequence
 
-from .complete import description_regions_complete, regions_computational
+from .complete import _ranked_regions, description_regions_complete
 from .errors import GuardExceededError, TableParseError, ThreeWayError
 from .fuzzy import TNorm, format_decimal, format_exact, parse_degree
 from .language import (
     DEFAULT_MAX_FORMULAS,
     Atom,
     Formula,
+    _atom_text,
     _formula,
     formula_rank_for,
     render_formula,
     write_json,
 )
-from .rules import Provenance, _payload, derive_rules
+from .rules import Decision, Provenance, Rule, RuleSet, _payload, _render_text, derive_rules
 from .rules import render as render_rules
 from .satisfiability import (
     description_regions_alpha_meaning,
@@ -241,23 +242,6 @@ def _emit(args, payload) -> None:
             write_json(payload, f.write)
 
 
-def _block_descriptions(st, attrs, regions) -> tuple[set[Formula], set[Formula]]:
-    """The formula describing each block of the positive and negative regions.
-
-    On a complete table every cell is a singleton, so a block's only
-    description is the row of any member: per attribute of ``attrs``, in
-    declaration order, the shared atom of its code. The atoms are valid by
-    construction, so the formula is built unchecked."""
-    position = st.cells.positions.__getitem__
-    pos, neg = ([position(next(iter(b))) for b in blocks] for blocks in (regions.pos, regions.neg))
-    reps, atoms = pos + neg, []
-    for a in attrs:
-        cells, codes = st.column(a)
-        atoms.append(map([Atom(a, v) for (v,) in cells].__getitem__, map(codes.__getitem__, reps)))
-    formulas = list(map(_formula, zip(zip(*atoms))))
-    return set(formulas[:len(pos)]), set(formulas[len(pos):])
-
-
 def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
     targets = set(attrs) if strip == [] else set(strip)
     out = set()
@@ -268,13 +252,12 @@ def _strip_na_atoms(formulas, strip: list[str], attrs) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def _method_regions(args, st):
-    """The part of a ``rules`` or ``regions`` run that every method shares.
+def _method_run(args, st):
+    """The checks that every ``rules`` or ``regions`` run shares, in order.
 
-    Returns the rule order's :func:`formula_rank_for` key, eq-complete's
-    structured regions (None for the other methods), the method's
-    (DPOS, DNEG) with the ``--strip-na-atoms`` atoms dropped, and the
-    rules' provenance.
+    Returns the class, the attributes, the T-norm and threshold, and the
+    rules' provenance. ``--strip-na-atoms`` names are checked here too; on
+    a complete table there is no ``{NA}`` atom for them to drop.
     """
     method = args.method
     members, label, excluded = _resolve_class(args, st)
@@ -283,50 +266,81 @@ def _method_regions(args, st):
     kind, alpha = _resolve_kind_alpha(args, method)
     if method in COMPLETE_METHODS and not is_complete(st):
         raise ValueError(f"method {method} requires a complete table")
-    structured = None
-    if method == "eq-complete":
-        structured = regions_computational(st, attrs, members)
-        dpos, dneg = _block_descriptions(st, attrs, structured)
-    elif method == "cdl-complete":
+    provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
+    return members, attrs, kind, alpha, provenance
+
+
+def _method_regions(args, st, members, attrs, kind, alpha):
+    """(DPOS, DNEG) of every method but eq-complete, with the
+    ``--strip-na-atoms`` atoms dropped, and the rule order's
+    :func:`formula_rank_for` key."""
+    if args.method == "cdl-complete":
         dpos, dneg = description_regions_complete(st, attrs, members, args.max_formulas)
     else:
         # Looked up per run, so that a replaced module attribute is the one called.
-        build = globals()["description_regions_" + method.replace("-", "_")]
+        build = globals()["description_regions_" + args.method.replace("-", "_")]
         dpos, dneg = build(st, attrs, alpha, members, kind, args.max_formulas)
     if args.strip_na_atoms is not None:
         dpos, dneg = (_strip_na_atoms(d, args.strip_na_atoms, attrs) for d in (dpos, dneg))
-    provenance = Provenance(method, None if method in COMPLETE_METHODS else kind.value, alpha, label)
-    key = formula_rank_for(tuple(map(st.schema, attrs)))
-    return key, structured, dpos, dneg, provenance
+    return formula_rank_for(tuple(map(st.schema, attrs))), dpos, dneg
 
 
-def _block_lists(st, blocks) -> list[list[str]]:
-    """The blocks in object order, each block's members in object order."""
-    position = st.cells.positions.__getitem__
-    ordered = [sorted(block, key=position) for block in blocks]
-    ordered.sort(key=lambda block: position(block[0]))
-    return ordered
+def _descriptions(st, attrs, regions, make) -> list:
+    """Per region of :func:`_ranked_regions`, each block's description,
+    in sorted key order, which is the rule order: the tuple of ``make`` of
+    its atoms, one per attribute of ``attrs``. ``make`` runs once per
+    (attribute, domain value)."""
+    made = [[make(Atom(a, v)) for v in st.schema(a).domain].__getitem__ for a in attrs]
+    # Column by column: each key's ranks, per attribute, index its made atoms.
+    return [zip(*map(map, made, zip(*sorted(region)))) for region in regions]
+
+
+def _eq_complete_text(st, attrs, pos, neg) -> str:
+    """The rules text of eq-complete's positive and negative blocks, each
+    description joined from its atoms' texts."""
+    lhs = _descriptions(st, attrs, (pos, neg), _atom_text)
+    return _render_text([map("&".join, texts) for texts in lhs], Decision.NON_COMMIT)
+
+
+def _eq_complete_rules(st, attrs, pos, neg, provenance) -> RuleSet:
+    """The rules of eq-complete's positive and negative blocks, whose
+    descriptions are built unchecked: one atom per attribute of the checked
+    ``attrs``, in declaration order, each the value of a singleton cell.
+    POS and NEG blocks are disjoint, so no rule is non-commit."""
+    rules: list[Rule] = []
+    lhs = _descriptions(st, attrs, (pos, neg), lambda atom: atom)
+    for decision, atoms in zip((Decision.ACCEPT, Decision.REJECT), lhs):
+        rules += map(Rule, map(_formula, zip(atoms)), repeat(decision), repeat(provenance))
+    return RuleSet(tuple(rules))
 
 
 def _cmd_regions(args, st):
-    key, structured, dpos, dneg, provenance = _method_regions(args, st)
-    if structured is not None:
-        payload = {name: _block_lists(st, getattr(structured, name)) for name in ("pos", "neg", "bnd")}
-    else:
-        payload = {"dpos": sorted(dpos, key=key), "dneg": sorted(dneg, key=key)}
+    members, attrs, kind, alpha, provenance = _method_run(args, st)
+    if args.method == "eq-complete":
+        regions = _ranked_regions(st, attrs, members)
+        payload = {name: list(region.values()) for name, region in zip(("pos", "neg", "bnd"), regions)}
+        if args.format == "json":
+            return payload, 0
+        lines = [f"{name} {{{','.join(block)}}}\n" for name, blocks in payload.items() for block in blocks]
+        return "".join(lines) + _eq_complete_text(st, attrs, *regions[:2]), 0
+    key, dpos, dneg = _method_regions(args, st, members, attrs, kind, alpha)
+    payload = {"dpos": sorted(dpos, key=key), "dneg": sorted(dneg, key=key)}
     if args.format == "json":
         return payload, 0
-    if structured is not None:
-        lines = [f"{name} {{{','.join(block)}}}" for name, blocks in payload.items() for block in blocks]
-    else:
-        lines = [f"{name.upper()} {render_formula(p)}" for name, ps in payload.items() for p in ps]
+    lines = [f"{name.upper()} {render_formula(p)}" for name, ps in payload.items() for p in ps]
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     lines.append(render_rules(ruleset, "text").rstrip("\n"))
     return "\n".join(lines) + "\n", 0
 
 
 def _cmd_rules(args, st):
-    key, _, dpos, dneg, provenance = _method_regions(args, st)
+    members, attrs, kind, alpha, provenance = _method_run(args, st)
+    if args.method == "eq-complete":
+        pos, neg, _ = _ranked_regions(st, attrs, members)
+        if args.format == "json":
+            return _payload(_eq_complete_rules(st, attrs, pos, neg, provenance)), 0
+        return _eq_complete_text(st, attrs, pos, neg), 0
+    key, dpos, dneg = _method_regions(args, st, members, attrs, kind, alpha)
     ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
     return _payload(ruleset) if args.format == "json" else render_rules(ruleset, "text"), 0
 

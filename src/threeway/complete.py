@@ -72,21 +72,48 @@ def _split(t: SetValuedTable, members: frozenset[str], items: Iterable, objects_
     return tuple(map(frozenset, groups))
 
 
+def _checked_attrs(t: SetValuedTable, attrs: Sequence[str]) -> tuple[str, ...]:
+    """``attrs`` of complete table ``t`` in declaration order; the empty
+    subset passes, as the one-block partition of every object."""
+    _require_complete(t)
+    return t.attr_subset(attrs) if attrs else ()
+
+
+def _ranked_regions(
+    t: SetValuedTable, attrs: Sequence[str], members: frozenset[str]
+) -> tuple[dict[tuple[int, ...], list[str]], ...]:
+    """POS, NEG and BND of the blocks of objects that agree on ``attrs``,
+    unchecked: ``t`` is complete and ``members`` a subset of its objects.
+
+    Each region maps a block's key, the tuple of its row's domain ranks on
+    ``attrs``, to its members. Blocks come in first-member order, members
+    in object order. A block's description uses every attribute of
+    ``attrs``, so a region's sorted keys list the descriptions in
+    :func:`~threeway.language.formula_rank_for` order. Under the empty
+    class every block is negative.
+    """
+    ranks = []
+    for a in attrs:
+        cells, codes = t.column(a)
+        rank = {v: j for j, v in enumerate(t.schema(a).domain)}
+        ranks.append(map([rank[v] for (v,) in cells].__getitem__, codes))
+    blocks: dict[tuple[int, ...], list[str]] = {}
+    for x, key in zip(t.objects, zip(*ranks) if attrs else itertools.repeat(())):
+        blocks.setdefault(key, []).append(x)
+    regions: tuple[dict[tuple[int, ...], list[str]], ...] = ({}, {}, {})
+    for key, block in blocks.items():
+        regions[0 if members.issuperset(block) else 1 if members.isdisjoint(block) else 2][key] = block
+    return regions
+
+
 def partition(t: SetValuedTable, attrs: Sequence[str]) -> Partition:
     """Group objects that agree on every attribute of ``attrs``.
 
     The empty attribute set yields the single block containing the whole
     universe (all objects vacuously agree).
     """
-    _require_complete(t)
-    attrs = t.attr_subset(attrs) if attrs else ()
-    # Equal cells of a column share one code.
-    keys = zip(*(t.column(a)[1] for a in attrs)) if attrs else itertools.repeat(())
-    keyed: dict[tuple[int, ...], list[str]] = {}
-    for x, key in zip(t.objects, keys):
-        keyed.setdefault(key, []).append(x)
-    # Dicts keep insertion order, so blocks follow their first member.
-    return Partition(tuple(frozenset(block) for block in keyed.values()))
+    _, blocks, _ = _ranked_regions(t, _checked_attrs(t, attrs), frozenset())
+    return Partition(tuple(map(frozenset, blocks.values())))
 
 
 def regions_computational(
@@ -94,7 +121,8 @@ def regions_computational(
 ) -> StructuredRegions:
     """Split the partition blocks by inclusion in the class or its complement."""
     members = t.class_set(x_set)
-    return StructuredRegions(*_split(t, members, partition(t, attrs).blocks))
+    regions = _ranked_regions(t, _checked_attrs(t, attrs), members)
+    return StructuredRegions(*(frozenset(map(frozenset, region.values())) for region in regions))
 
 
 def cdef_family(

@@ -121,17 +121,26 @@ def merge(rulesets: Iterable[RuleSet]) -> RuleSet:
 def render(rs: RuleSet, fmt: str = "text") -> str:
     """Serialize a rule set; output bytes are deterministic."""
     if fmt == "text":
-        lines = []
-        for decision in (Decision.ACCEPT, Decision.REJECT, Decision.NON_COMMIT):
-            mark = _MARKS[decision] + " "
-            lines += [mark + render_formula(rule.lhs) for rule in rs.by_decision(decision)]
-        lines.append(f"{_MARKS[rs.default]} otherwise")
-        return "\n".join(lines) + "\n"
+        groups: dict[Decision, list[Formula]] = {decision: [] for decision in _MARKS}
+        for rule in rs.rules:
+            groups[rule.decision].append(rule.lhs)
+        return _render_text([map(render_formula, lhs) for lhs in groups.values()], rs.default)
     if fmt == "json":
         parts: list[str] = []
         write_json(_payload(rs), parts.append)
         return "".join(parts)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _render_text(groups: Iterable[Iterable[str]], default: Decision) -> str:
+    """The text form of rules whose left sides print as ``groups``: the
+    accept, reject and non-commit texts, each in its order, one marked line
+    per rule, then the default's line."""
+    lines: list[str] = []
+    for mark, texts in zip(_MARKS.values(), groups):
+        lines += map((mark + " ").__add__, texts)
+    lines.append(f"{_MARKS[default]} otherwise")
+    return "\n".join(lines) + "\n"
 
 
 def rules_json(rs: RuleSet) -> dict:

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import expected
 from conftest import DATA, formula, formulas
 import threeway.cli
+import threeway.language
+import threeway.rules
 from threeway.cli import main
 from threeway.fuzzy import format_decimal
 
@@ -742,7 +744,7 @@ class TestDeterminism:
 
 
 BUILDERS = (
-    "regions_computational",
+    "_ranked_regions",
     "description_regions_complete",
     "description_regions_alpha_sim",
     "description_regions_approx",
@@ -761,7 +763,7 @@ class TestRegionBuilderCalls:
             ("description_regions_alpha_meaning", ("--table", SETVALUED8, "--method", "alpha-meaning", "--alpha", "0.5")),
             ("description_regions_approx", ("--table", SETVALUED8, "--method", "approx", "--tnorm", "prod", "--alpha", "0")),
             ("description_regions_confidence", ("--table", SETVALUED8, "--method", "confidence", "--alpha", "0.6")),
-            ("regions_computational", ("--table", COMPLETE6, "--method", "eq-complete")),
+            ("_ranked_regions", ("--table", COMPLETE6, "--method", "eq-complete")),
             ("description_regions_complete", ("--table", COMPLETE6, "--method", "cdl-complete")),
         ],
     )
@@ -776,3 +778,53 @@ class TestRegionBuilderCalls:
         code, _, _ = run(capsys, command, *argv, "--class", "x1,x2,x3,x4", "--format", fmt)
         assert code == 0
         assert calls == [builder]
+
+
+class TestEqCompleteWork:
+    """eq-complete ``rules`` and ``regions`` print straight from the
+    ordered blocks of ``complete._ranked_regions``: no rule derivation, no
+    per-formula rank key, and on the text path no :class:`Rule`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = {"derive_rules": 0, "formula_rank_for": 0, "Rule": 0}
+        for module, name in (
+            (threeway.cli, "derive_rules"),
+            (threeway.rules, "derive_rules"),
+            (threeway.cli, "formula_rank_for"),
+            (threeway.language, "formula_rank_for"),
+        ):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                log[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        make_rule = threeway.rules.Rule.__new__
+
+        def counted_rule(cls, *args, **kwargs):
+            log["Rule"] += 1
+            return make_rule(cls, *args, **kwargs)
+
+        monkeypatch.setattr(threeway.rules.Rule, "__new__", counted_rule)
+        return log
+
+    @pytest.mark.parametrize("command", ["regions", "rules"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_derivation_and_no_rank_key(self, capsys, calls, command, fmt):
+        code, out, _ = run(
+            capsys, command, "--table", COMPLETE40, "--method", "eq-complete",
+            "--class-column", "d", "--class-value", "yes", "--format", fmt,
+        )
+        assert code == 0 and out
+        # Only JSON rules are Rules: one per printed rule.
+        rules = len(json.loads(out)["rules"]) if (command, fmt) == ("rules", "json") else 0
+        assert calls == {"derive_rules": 0, "formula_rank_for": 0, "Rule": rules}
+
+    def test_rule_count_is_seen(self, capsys, calls):
+        """The counters see a run that builds rules."""
+        code, _, _ = run(
+            capsys, "rules", "--table", COMPLETE40, "--method", "cdl-complete",
+            "--class-column", "d", "--class-value", "yes",
+        )
+        assert code == 0
+        assert calls["derive_rules"] == calls["formula_rank_for"] == 1 and calls["Rule"] > 0

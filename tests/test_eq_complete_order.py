@@ -18,7 +18,7 @@ import io
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from threeway import (
     Provenance,
@@ -131,8 +131,24 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("eq_complete_order")
 
 
+# Every block in the boundary, so no rule is derived and the JSON carries
+# the empty provenance of an empty rule set.
+ALL_BOUNDARY = (
+    "@attributes a9 b\n@domain a9 0 1\n@domain b 0 1\n@objects\no1 0 0\no2 0 0\no3 1 1\no4 1 1\n",
+    {"column": None, "value": None, "class": ["o1", "o3"], "attrs": None, "strip": []},
+)
+# A declared decision value that no object holds: the class is empty and
+# every block negative.
+EMPTY_CLASS = (
+    "@attributes a9 q\n@domain a9 0 1\n@domain q yes no\n@objects\no1 0 yes\no2 1 yes\no3 0 yes\n",
+    {"column": "q", "value": "no", "class": None, "attrs": None, "strip": None},
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=complete_table())
+@example(drawn=ALL_BOUNDARY)
+@example(drawn=EMPTY_CLASS)
 def test_eq_complete_prints_the_reference(workdir, drawn):
     text, o = drawn
     path = workdir / "table.itab"

@@ -271,7 +271,7 @@ def test_only_the_kernels_skip_the_checks():
         ("cli.py", "_strip_na_atoms"),
         # One atom per attribute of the checked attrs, in declaration order,
         # each the value of a singleton cell of a complete table.
-        ("cli.py", "_block_descriptions"),
+        ("cli.py", "_eq_complete_rules"),
     }
     found = set()
     for path in sorted(SRC.glob("*.py")):

@@ -19,28 +19,23 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 from itertools import compress, repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .complete import _ranked_regions, description_regions_complete
+from .complete import _ranked_regions
 from .errors import GuardExceededError, TableParseError, ThreeWayError
 from .fuzzy import TNorm, format_decimal, format_exact, parse_degree
 from .language import (
     DEFAULT_MAX_FORMULAS,
     Atom,
     Formula,
-    _atom_text,
     _formula,
+    _Memo,
     formula_rank_for,
     render_formula,
     write_json,
 )
-from .rules import Decision, Provenance, Rule, RuleSet, _payload, _render_text, derive_rules
-from .rules import render as render_rules
-from .satisfiability import (
-    description_regions_alpha_meaning,
-    description_regions_confidence,
-    strict_degrees,
-)
+from .rules import Decision, Provenance, Rule, RuleSet, _payload, _render_text
+from .satisfiability import _alpha_meaning_ranked, _confidence_ranked, strict_degrees
 from .similarity import (
     description_regions_alpha_sim,
     description_regions_approx,
@@ -271,18 +266,63 @@ def _method_run(args, st):
 
 
 def _method_regions(args, st, members, attrs, kind, alpha):
-    """(DPOS, DNEG) of every method but eq-complete, with the
-    ``--strip-na-atoms`` atoms dropped, and the rule order's
-    :func:`formula_rank_for` key."""
-    if args.method == "cdl-complete":
-        dpos, dneg = description_regions_complete(st, attrs, members, args.max_formulas)
-    else:
-        # Looked up per run, so that a replaced module attribute is the one called.
-        build = globals()["description_regions_" + args.method.replace("-", "_")]
-        dpos, dneg = build(st, attrs, alpha, members, kind, args.max_formulas)
+    """DPOS and DNEG of every method but eq-complete: the atoms of each
+    region's formulas, in rule order. The satisfiability search lists
+    cdl-complete (alpha-meaning at 1 under MIN), alpha-meaning and
+    confidence in that order, and their strict formulas have no ``{NA}``
+    atom for ``--strip-na-atoms`` to drop. alpha-sim and approx return
+    formula sets, which are stripped, then sorted by
+    :func:`formula_rank_for`."""
+    if args.method == "confidence":
+        return _confidence_ranked(st, attrs, alpha, members, kind, args.max_formulas)
+    if args.method in ("cdl-complete", "alpha-meaning"):
+        alpha = 1 if args.method == "cdl-complete" else alpha
+        return _alpha_meaning_ranked(st, attrs, alpha, members, kind, args.max_formulas)
+    # Looked up per run, so that a replaced module attribute is the one called.
+    build = globals()["description_regions_" + args.method.replace("-", "_")]
+    dpos, dneg = build(st, attrs, alpha, members, kind, args.max_formulas)
     if args.strip_na_atoms is not None:
         dpos, dneg = (_strip_na_atoms(d, args.strip_na_atoms, attrs) for d in (dpos, dneg))
-    return formula_rank_for(tuple(map(st.schema, attrs))), dpos, dneg
+    key = formula_rank_for(tuple(map(st.schema, attrs)))
+    return [p[0] for p in sorted(dpos, key=key)], [p[0] for p in sorted(dneg, key=key)]
+
+
+def _rule_groups(pos, neg, shown_pos, shown_neg) -> tuple:
+    """The accept, reject and non-commit groups of the rank-ordered regions
+    ``pos`` and ``neg``, that is ``pos - neg``, ``neg - pos`` and
+    ``pos & neg``, each in rule order, as the items of ``shown_pos`` and
+    ``shown_neg`` that stand for their formulas."""
+    both = set(pos).intersection(neg) if pos and neg else ()
+    if not both:
+        return shown_pos, shown_neg, ()
+    accept, non_commit = [], []
+    for p, item in zip(pos, shown_pos):
+        (non_commit if p in both else accept).append(item)
+    return accept, [item for p, item in zip(neg, shown_neg) if p not in both], non_commit
+
+
+def _shown(regions) -> list[Iterator[str]]:
+    """Per region of atom tuples, the text of each formula, made as it is
+    read, joined from atom texts made once per call."""
+    text = _Memo("(%s=%s)".__mod__).__getitem__
+    return [("&".join(map(text, atoms)) for atoms in region) for region in regions]
+
+
+def _formulas(atoms) -> list[Formula]:
+    """The formulas of atom tuples that are valid by construction, built
+    unchecked: the atoms of the search, or of a similarity builder's
+    formulas, or eq-complete's one atom per attribute of the checked
+    ``attrs``, in declaration order, each the value of a singleton cell."""
+    return list(map(_formula, zip(atoms)))
+
+
+def _ruleset(groups, provenance) -> RuleSet:
+    """The rules whose left sides are the accept, reject and non-commit
+    atom tuples of ``groups``, in that order."""
+    rules: list[Rule] = []
+    for decision, atoms in zip(Decision, groups):
+        rules += map(Rule, _formulas(atoms), repeat(decision), repeat(provenance))
+    return RuleSet(tuple(rules))
 
 
 def _descriptions(st, attrs, regions, make) -> list:
@@ -297,25 +337,14 @@ def _descriptions(st, attrs, regions, make) -> list:
 
 def _eq_complete_text(st, attrs, pos, neg) -> str:
     """The rules text of eq-complete's positive and negative blocks, each
-    description joined from its atoms' texts."""
-    lhs = _descriptions(st, attrs, (pos, neg), _atom_text)
+    description joined from its atoms' texts. POS and NEG blocks are
+    disjoint, so no rule is non-commit."""
+    lhs = _descriptions(st, attrs, (pos, neg), "(%s=%s)".__mod__)
     return _render_text([map("&".join, texts) for texts in lhs], Decision.NON_COMMIT)
 
 
-def _eq_complete_rules(st, attrs, pos, neg, provenance) -> RuleSet:
-    """The rules of eq-complete's positive and negative blocks, whose
-    descriptions are built unchecked: one atom per attribute of the checked
-    ``attrs``, in declaration order, each the value of a singleton cell.
-    POS and NEG blocks are disjoint, so no rule is non-commit."""
-    rules: list[Rule] = []
-    lhs = _descriptions(st, attrs, (pos, neg), lambda atom: atom)
-    for decision, atoms in zip((Decision.ACCEPT, Decision.REJECT), lhs):
-        rules += map(Rule, map(_formula, zip(atoms)), repeat(decision), repeat(provenance))
-    return RuleSet(tuple(rules))
-
-
 def _cmd_regions(args, st):
-    members, attrs, kind, alpha, provenance = _method_run(args, st)
+    members, attrs, kind, alpha, _ = _method_run(args, st)
     if args.method == "eq-complete":
         regions = _ranked_regions(st, attrs, members)
         payload = {name: list(region.values()) for name, region in zip(("pos", "neg", "bnd"), regions)}
@@ -323,14 +352,12 @@ def _cmd_regions(args, st):
             return payload, 0
         lines = [f"{name} {{{','.join(block)}}}\n" for name, blocks in payload.items() for block in blocks]
         return "".join(lines) + _eq_complete_text(st, attrs, *regions[:2]), 0
-    key, dpos, dneg = _method_regions(args, st, members, attrs, kind, alpha)
-    payload = {"dpos": sorted(dpos, key=key), "dneg": sorted(dneg, key=key)}
+    pos, neg = _method_regions(args, st, members, attrs, kind, alpha)
     if args.format == "json":
-        return payload, 0
-    lines = [f"{name.upper()} {render_formula(p)}" for name, ps in payload.items() for p in ps]
-    ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
-    lines.append(render_rules(ruleset, "text").rstrip("\n"))
-    return "\n".join(lines) + "\n", 0
+        return {"dpos": _formulas(pos), "dneg": _formulas(neg)}, 0
+    shown = list(map(list, _shown((pos, neg))))
+    lines = [f"{name} {text}\n" for name, texts in zip(("DPOS", "DNEG"), shown) for text in texts]
+    return "".join(lines) + _render_text(_rule_groups(pos, neg, *shown), Decision.NON_COMMIT), 0
 
 
 def _cmd_rules(args, st):
@@ -338,11 +365,12 @@ def _cmd_rules(args, st):
     if args.method == "eq-complete":
         pos, neg, _ = _ranked_regions(st, attrs, members)
         if args.format == "json":
-            return _payload(_eq_complete_rules(st, attrs, pos, neg, provenance)), 0
+            return _payload(_ruleset(_descriptions(st, attrs, (pos, neg), lambda atom: atom), provenance)), 0
         return _eq_complete_text(st, attrs, pos, neg), 0
-    key, dpos, dneg = _method_regions(args, st, members, attrs, kind, alpha)
-    ruleset = derive_rules(dpos, dneg, provenance, sort_key=key)
-    return _payload(ruleset) if args.format == "json" else render_rules(ruleset, "text"), 0
+    pos, neg = _method_regions(args, st, members, attrs, kind, alpha)
+    if args.format == "json":
+        return _payload(_ruleset(_rule_groups(pos, neg, pos, neg), provenance)), 0
+    return _render_text(_rule_groups(pos, neg, *_shown((pos, neg))), Decision.NON_COMMIT), 0
 
 
 def _cmd_similarity(args, st):

@@ -285,18 +285,21 @@ def _json_key(k: str) -> str:
     return _quote(k) + ": "
 
 
-def _write_container(o, pad: str, leaf: Callable, out: list[str], write: Callable[[str], object]) -> None:
+def _write_container(
+    o, pad: str, leaf: Callable, key: Callable[[str], str], out: list[str], write: Callable[[str], object]
+) -> None:
     """Append the text of dict, list or tuple ``o`` at indent ``pad`` to
     ``out`` for :func:`write_json`, flushing full batches through ``write``;
-    ``leaf`` gives the text of a scalar or formula, ``None`` for a container.
-    Module level, as a closure that calls itself would be a reference cycle."""
+    ``leaf`` gives the text of a scalar or formula, ``None`` for a container,
+    and ``key`` the text of a dict key with its ``": "``. Module level, as a
+    closure that calls itself would be a reference cycle."""
     is_dict = isinstance(o, dict)
     if not o:
         out.append("{}" if is_dict else "[]")
         return
     inner = pad + "  "
     if is_dict:  # the C encoder rejects a key that is not a str
-        items = zip(map(_json_key, o), o.values())
+        items = zip(map(key, o), o.values())
         sep, close = "{" + inner, pad + "}"
     else:
         items = zip(itertools.repeat(""), o)
@@ -305,7 +308,7 @@ def _write_container(o, pad: str, leaf: Callable, out: list[str], write: Callabl
         text = leaf(v, inner)
         if text is None:
             out.append(sep + head)
-            _write_container(v, inner, leaf, out, write)
+            _write_container(v, inner, leaf, key, out, write)
         else:
             out.append(sep + head + text)
         sep = "," + inner
@@ -321,26 +324,24 @@ def write_json(obj, write: Callable[[str], object]) -> None:
 
     ``obj`` nests dicts with ``str`` keys, lists, tuples, strings, ints,
     bools and ``None``. A :class:`Formula` leaf is written as
-    :func:`formula_json` of it would be; each distinct atom's text at each
-    depth is built once per call. Strings go through the stdlib's C
-    ``ensure_ascii`` encoder.
+    :func:`formula_json` of it would be; each distinct key's text, and each
+    distinct atom's text at each depth, is built once per call. Strings go
+    through the stdlib's C ``ensure_ascii`` encoder.
     """
     out: list[str] = []
-    atoms: dict[tuple[str, str, str], str] = {}
+    key = _Memo(_json_key).__getitem__
+    # Per depth: a formula's opening, separator and closing texts, and its atoms' texts.
+    shapes: dict[str, tuple[str, str, str, Callable[[Atom], str]]] = {}
 
     def formula(p: Formula, pad: str) -> str:
-        inner = pad + "  "
-        texts = []
-        for attr, value in p.atoms:
-            key = (attr, value, pad)
-            text = atoms.get(key)
-            if text is None:
-                deep = inner + "  "
-                text = atoms[key] = (
-                    f'{{{deep}"attr": {_quote(attr)},{deep}"value": {_quote(value)}{inner}}}'
-                )
-            texts.append(text)
-        return f"[{inner}{(',' + inner).join(texts)}{pad}]"
+        shape = shapes.get(pad)
+        if shape is None:
+            inner = pad + "  "
+            deep = inner + "  "
+            atom = _Memo(lambda a: f'{{{deep}"attr": {_quote(a[0])},{deep}"value": {_quote(a[1])}{inner}}}')
+            shape = shapes[pad] = ("[" + inner, "," + inner, pad + "]", atom.__getitem__)
+        head, sep, close, text = shape
+        return head + sep.join(map(text, p[0])) + close
 
     def leaf(v, pad: str) -> str | None:
         """The text of a scalar or formula; ``None`` for a container."""
@@ -362,7 +363,7 @@ def write_json(obj, write: Callable[[str], object]) -> None:
 
     text = leaf(obj, "\n")
     if text is None:
-        _write_container(obj, "\n", leaf, out, write)
+        _write_container(obj, "\n", leaf, key, out, write)
     else:
         out.append(text)
     out.append("\n")

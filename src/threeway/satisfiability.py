@@ -17,8 +17,14 @@ formulas can enter a region. Two bounds make that safe, because adding
 an atom never lowers N: an object that misses alpha on a formula misses
 it on every extension, and a formula's acceptance (rejection) confidence
 is at most the class (complement) side's max D under MIN and
-1 - prod (1 - D) under PRODUCT, neither growing down the tree. The same
-walk, cut nowhere, lists each size in order (:func:`strict_degrees`).
+1 - prod (1 - D) under PRODUCT, neither growing down the tree. Under MIN
+the levels are only the N bounds a judge reads: one for alpha-meaning,
+two for confidence. When alpha > 0 a formula with no object left is not
+visited, as neither it nor an extension is in a region. The walk meets
+each size in rule order, so each region comes out as lists of atoms in
+that order (``_alpha_meaning_ranked``, ``_confidence_ranked``), which the
+CLI prints with no sort; the public builders are frozenset views of them.
+The same walk, cut nowhere, lists every formula (:func:`strict_degrees`).
 No production path calls ``sat_degree``, ``sat_profile``,
 ``alpha_meaning_set``, ``confidence`` or ``confidence_closed``, which
 evaluate the defining expressions and serve as references.
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, repeat
+from itertools import compress
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -119,16 +125,22 @@ def description_regions_alpha_meaning(
     These two regions are disjoint by construction: a nonempty set cannot
     be inside both the class and its complement.
     """
-    members = st.class_set(x_set)
-    attrs = st.attr_subset(attrs)
-    check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    return _frozen(_alpha_meaning_ranked(st, attrs, alpha, x_set, kind, max_formulas))
+
+
+def _alpha_meaning_ranked(
+    st: SetValuedTable, attrs: Sequence[str], alpha, x_set: Iterable[str], kind: TNorm, max_formulas: int
+) -> tuple[list[tuple[Atom, ...]], list[tuple[Atom, ...]]]:
+    """:func:`description_regions_alpha_meaning` as the atoms of each
+    region's formulas, in rule order."""
+    attrs, inside = _class_bits(st, attrs, x_set, max_formulas)
     a, b = degree_terms(alpha)
-    # Alpha 0 is met by every object on every formula. Any other alpha is
-    # met by the objects of degree 1/N with N <= b/a, the only ones the
-    # search keeps; their set only shrinks down the tree, so a subtree
-    # without them on either side has no formula in a region.
-    everyone = (bool(members), len(members) < len(st.objects))
-    inside = sum(1 << i for i, x in enumerate(st.objects) if x in members)
+    # Alpha 0 is met by every object on every formula, and no level is
+    # read. Any other alpha is met by the objects of degree 1/N with
+    # N <= b/a, the one rung the search keeps; their set only shrinks down
+    # the tree, so a subtree without them on either side has no formula in
+    # a region.
+    everyone = (inside != 0, inside.bit_count() < len(st.objects))
     outside = ~inside
 
     def judge(_, __, bits) -> tuple[bool, bool, bool]:
@@ -136,7 +148,7 @@ def description_regions_alpha_meaning(
         hit_in, hit_out = (bool(hits & inside), bool(hits & outside)) if a else everyone
         return hit_in and not hit_out, hit_out and not hit_in, hit_in or hit_out
 
-    return _search(st, attrs, kind, judge, b // a if a else math.inf)
+    return _search(st, attrs, kind, judge, (b // a,) if a else (), a > 0)
 
 
 def confidence(st: SetValuedTable, p: Formula, x_set: Iterable[str], kind: TNorm) -> Confidence:
@@ -207,41 +219,51 @@ def description_regions_confidence(
 ) -> tuple[frozenset[Formula], frozenset[Formula]]:
     """Formulas whose acceptance (resp. rejection) confidence passes the
     threshold. Overlap is possible and resolved at rule derivation."""
-    members = st.class_set(x_set)
-    attrs = st.attr_subset(attrs)
-    check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
-    a, b = degree_terms(alpha)
-    # The closed forms of :func:`confidence_closed` on degrees 1/N, compared
-    # with alpha = a/b by cross-multiplying. accept is at most the class
-    # side's bound, max D under MIN and 1 - prod (1 - D) under PRODUCT,
-    # and reject the complement's; neither bound grows down the tree.
-    inside = sum(1 << i for i, x in enumerate(st.objects) if x in members)
+    return _frozen(_confidence_ranked(st, attrs, alpha, x_set, kind, max_formulas))
+
+
+def _confidence_ranked(
+    st: SetValuedTable, attrs: Sequence[str], alpha, x_set: Iterable[str], kind: TNorm, max_formulas: int
+) -> tuple[list[tuple[Atom, ...]], list[tuple[Atom, ...]]]:
+    """:func:`description_regions_confidence` as the atoms of each
+    region's formulas, in rule order.
+
+    The closed forms of :func:`confidence_closed` on degrees 1/N, compared
+    with alpha = a/b by cross-multiplying. accept is at most the class
+    side's bound, max D under MIN and 1 - prod (1 - D) under PRODUCT, and
+    reject the complement's; neither bound grows down the tree.
+    """
+    attrs, inside = _class_bits(st, attrs, x_set, max_formulas)
     outside = ~inside
+    a, b = degree_terms(alpha)
     if kind is TNorm.MIN:
-        def side(ns, bits, mask) -> tuple[bool, bool]:
-            # Whether max D = 1/min N, and whether 1 - max D, reach alpha.
-            m = next(compress(ns, map(and_, bits, repeat(mask))), 0)
-            return (not a or 0 < m and a * m <= b), (not m or b * (m - 1) >= a * m)
+        # A side's max D = 1/min N reaches alpha iff the side holds an object
+        # at N <= b/a (always at alpha 0), and 1 - max D iff it holds none at
+        # N < b/(b - a) (none at all at alpha 1): two rungs.
+        reach, miss = b // a if a else 0, (b - 1) // (b - a) if a < b else math.inf
+        rungs = sorted({reach, miss})
+        k, m = rungs.index(reach), rungs.index(miss)
 
-        def judge(_, ns, bits) -> tuple[bool, bool, bool]:
-            hi_in, lo_in = side(ns, bits, inside)
-            hi_out, lo_out = side(ns, bits, outside)
-            return hi_in and lo_out, hi_out and lo_in, hi_in or hi_out
+        def judge(_, __, bits) -> tuple[bool, bool, bool]:
+            near, far = bits[k], bits[m]
+            hi_in, hi_out = (near & inside, near & outside) if a else (True, True)
+            return hi_in and not far & outside, hi_out and not far & inside, hi_in or hi_out
 
-    else:  # PRODUCT; the search rejects any other kind.
-        def judge(_, ns, bits) -> tuple[bool, bool, bool]:
-            # prod (1 - D) = p / q per side: (N - 1)^c / N^c for its c objects at N.
-            p_in = q_in = p_out = q_out = 1
-            for n, h in zip(ns, bits):
-                c, d = (h & inside).bit_count(), (h & outside).bit_count()
-                p_in, q_in, p_out, q_out = p_in * (n - 1) ** c, q_in * n**c, p_out * (n - 1) ** d, q_out * n**d
-            return (
-                b * p_out * (q_in - p_in) >= a * q_out * q_in,
-                b * p_in * (q_out - p_out) >= a * q_in * q_out,
-                b * (q_in - p_in) >= a * q_in or b * (q_out - p_out) >= a * q_out,
-            )
+        return _search(st, attrs, kind, judge, rungs, a > 0)
 
-    return _search(st, attrs, kind, judge)
+    def judge(_, ns, bits) -> tuple[bool, bool, bool]:  # PRODUCT; the search rejects any other kind.
+        # prod (1 - D) = p / q per side: (N - 1)^c / N^c for its c objects at N.
+        p_in = q_in = p_out = q_out = 1
+        for n, h in zip(ns, bits):
+            c, d = (h & inside).bit_count(), (h & outside).bit_count()
+            p_in, q_in, p_out, q_out = p_in * (n - 1) ** c, q_in * n**c, p_out * (n - 1) ** d, q_out * n**d
+        return (
+            b * p_out * (q_in - p_in) >= a * q_out * q_in,
+            b * p_in * (q_out - p_out) >= a * q_in * q_out,
+            b * (q_in - p_in) >= a * q_in or b * (q_out - p_out) >= a * q_out,
+        )
+
+    return _search(st, attrs, kind, judge, None, a > 0)
 
 
 # --------------------------------------------------------------------------
@@ -252,25 +274,50 @@ def description_regions_confidence(
 # formula's levels follow from its parent's and one atom column.
 
 
+def _class_bits(
+    st: SetValuedTable, attrs: Sequence[str], x_set: Iterable[str], max_formulas: int
+) -> tuple[tuple[str, ...], int]:
+    """The checks every builder makes first, in order (the class, the
+    attributes, the language size); returns the checked ``attrs`` and the
+    class as a bitset, bit i for ``st.objects[i]``."""
+    members = st.class_set(x_set)
+    attrs = st.attr_subset(attrs)
+    check_cdl_size(tuple(map(st.schema, attrs)), STRICT, max_formulas)
+    return attrs, sum(1 << i for i, x in enumerate(st.objects) if x in members)
+
+
+def _frozen(regions) -> tuple[frozenset[Formula], ...]:
+    """The formulas of each region of atom tuples, as a frozenset."""
+    return tuple(frozenset(map(_formula, zip(region))) for region in regions)
+
+
 def _search(
     st: SetValuedTable, attrs: tuple[str, ...], kind: TNorm, visit: Callable[..., tuple[bool, bool, bool]],
-    cap: float = math.inf,
-) -> tuple[frozenset[Formula], frozenset[Formula]]:
+    bounds: Sequence[float] | None = None, skip_empty: bool = False,
+) -> tuple[list[tuple[Atom, ...]], list[tuple[Atom, ...]]]:
     """Depth first, children in order, over the set-enumeration tree of the
     strict formulas on ``attrs``, whose children add an atom on a later
-    attribute; returns the (positive, negative) regions ``visit`` fills.
+    attribute; returns the atoms of the (positive, negative) region
+    formulas ``visit`` finds, each list in ``enumerate_cdl`` order.
 
     ``visit`` gets a formula's atoms and levels: denominators ``ns`` and
-    bitsets (bit i for ``st.objects[i]``) of its objects of degree 1/N > 0
-    with N <= ``cap``. Under MIN level k holds those with N <= ns[k], a
-    ladder over the cell sizes, ascending, so a child's levels are its
-    parent's ANDed with its atom's; under PRODUCT, those with N = ns[k].
-    It returns whether the formula is in each region, and whether its
-    children are searched. Each size comes in ``enumerate_cdl`` order.
+    bitsets (bit i for ``st.objects[i]``) of its objects of degree 1/N > 0.
+    ``bounds`` are the N bounds the judge reads, ascending. Under MIN level
+    k holds the objects with N <= bounds[k], so a child's levels are its
+    parent's ANDed with its atom's; under PRODUCT, those with N = ns[k],
+    one level per N up to the last bound. ``None`` is the full ladder:
+    every cell size under MIN, no bound under PRODUCT. ``visit`` returns
+    whether the formula is in each region, and whether its children are
+    searched. With ``skip_empty`` a formula with no object left on its
+    levels is not visited, for it and its extensions are in no region.
+    Each size comes in ``enumerate_cdl`` order, whatever is cut.
     """
     check_kind(kind)
-    cap = min(cap, math.prod(len(st.schema(a).domain) for a in attrs))  # an int from here
-    sizes = sorted({len(c) for a in attrs for c in st.column(a)[0] if len(c) <= cap})
+    sizes = sorted({len(c) for a in attrs for c in st.column(a)[0]})
+    if kind is TNorm.MIN:
+        bounds = sizes if bounds is None else bounds
+    else:
+        cap = math.prod(len(st.schema(a).domain) for a in attrs) if bounds is None else max(bounds, default=0)
     # Per attribute, per value: an atom and its column ({NA} holds no value).
     levels = []
     for a in attrs:
@@ -280,8 +327,12 @@ def _search(
             held[c] |= 1 << i
         exact = {v: [reduce(or_, (h for c, h in zip(cells, held) if v in c and len(c) == n), 0) for n in sizes]
                  for v in st.schema(a).domain}
-        levels.append([(Atom(a, v), tuple(accumulate(hs, or_)) if kind is TNorm.MIN else tuple(zip(sizes, hs)))
-                       for v, hs in exact.items()])
+        if kind is TNorm.MIN:
+            levels.append([(Atom(a, v), tuple(reduce(or_, compress(hs, (s <= n for s in sizes)), 0) for n in bounds))
+                           for v, hs in exact.items()])
+        else:
+            levels.append([(Atom(a, v), tuple((n, h) for n, h in zip(sizes, hs) if h and n <= cap))
+                           for v, hs in exact.items()])
     everyone = (1 << len(st.objects)) - 1
     if kind is TNorm.MIN:
         def grow(ns, bits, column):
@@ -299,25 +350,26 @@ def _search(
 
     # The root, the empty conjunction, holds every object at N = 1. A stack, not a
     # recursive closure, which would be a reference cycle holding the state until collected.
-    root = (tuple(sizes), (everyone,) * len(sizes)) if kind is TNorm.MIN else ((1,), (everyone,))
+    root = (tuple(bounds), (everyone,) * len(bounds)) if kind is TNorm.MIN else ((1,), (everyone,))
     stack = [((), 0, *root)]
-    dpos: set[Formula] = set()
-    dneg: set[Formula] = set()
+    dpos: list[list[tuple[Atom, ...]]] = [[] for _ in attrs]  # per size
+    dneg: list[list[tuple[Atom, ...]]] = [[] for _ in attrs]
     while stack:
         prefix, start, ns, bits = stack.pop()
+        pos_found, neg_found = dpos[len(prefix)], dneg[len(prefix)]
         children = []
         for j in range(start, len(levels)):
             for atom, column in levels[j]:
-                atoms = prefix + (atom,)
                 child_ns, child_bits = grow(ns, bits, column)
+                if skip_empty and not any(child_bits):
+                    continue
+                atoms = prefix + (atom,)
                 pos, neg, below = visit(atoms, child_ns, child_bits)
-                if pos or neg:
-                    p = _formula((atoms,))
-                    if pos:
-                        dpos.add(p)
-                    if neg:
-                        dneg.add(p)
+                if pos:
+                    pos_found.append(atoms)
+                if neg:
+                    neg_found.append(atoms)
                 if below and j + 1 < len(levels):
                     children.append((atoms, j + 1, child_ns, child_bits))
         stack += children[::-1]
-    return frozenset(dpos), frozenset(dneg)
+    return [atoms for found in dpos for atoms in found], [atoms for found in dneg for atoms in found]

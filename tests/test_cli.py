@@ -17,6 +17,7 @@ import threeway.language
 import threeway.rules
 from threeway.cli import main
 from threeway.fuzzy import format_decimal
+from threeway.table import AttributeSchema
 
 COMPLETE6 = str(DATA / "complete6.itab")
 SETVALUED8 = str(DATA / "setvalued8.itab")
@@ -745,11 +746,10 @@ class TestDeterminism:
 
 BUILDERS = (
     "_ranked_regions",
-    "description_regions_complete",
     "description_regions_alpha_sim",
     "description_regions_approx",
-    "description_regions_alpha_meaning",
-    "description_regions_confidence",
+    "_alpha_meaning_ranked",
+    "_confidence_ranked",
 )
 
 
@@ -760,11 +760,11 @@ class TestRegionBuilderCalls:
         "builder,argv",
         [
             ("description_regions_alpha_sim", ("--table", SETVALUED8, "--method", "alpha-sim", "--alpha", "0.3")),
-            ("description_regions_alpha_meaning", ("--table", SETVALUED8, "--method", "alpha-meaning", "--alpha", "0.5")),
+            ("_alpha_meaning_ranked", ("--table", SETVALUED8, "--method", "alpha-meaning", "--alpha", "0.5")),
             ("description_regions_approx", ("--table", SETVALUED8, "--method", "approx", "--tnorm", "prod", "--alpha", "0")),
-            ("description_regions_confidence", ("--table", SETVALUED8, "--method", "confidence", "--alpha", "0.6")),
+            ("_confidence_ranked", ("--table", SETVALUED8, "--method", "confidence", "--alpha", "0.6")),
             ("_ranked_regions", ("--table", COMPLETE6, "--method", "eq-complete")),
-            ("description_regions_complete", ("--table", COMPLETE6, "--method", "cdl-complete")),
+            ("_alpha_meaning_ranked", ("--table", COMPLETE6, "--method", "cdl-complete")),
         ],
     )
     def test_each_run_builds_regions_once(self, capsys, monkeypatch, command, fmt, builder, argv):
@@ -780,33 +780,35 @@ class TestRegionBuilderCalls:
         assert calls == [builder]
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of rule derivations, rank-key builds and :class:`Rule`
+    constructions during a test."""
+    log = {"derive_rules": 0, "formula_rank_for": 0, "Rule": 0}
+    for module, name in (
+        (threeway.rules, "derive_rules"),
+        (threeway.cli, "formula_rank_for"),
+        (threeway.language, "formula_rank_for"),
+    ):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            log[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    make_rule = threeway.rules.Rule.__new__
+
+    def counted_rule(cls, *args, **kwargs):
+        log["Rule"] += 1
+        return make_rule(cls, *args, **kwargs)
+
+    monkeypatch.setattr(threeway.rules.Rule, "__new__", counted_rule)
+    return log
+
+
 class TestEqCompleteWork:
     """eq-complete ``rules`` and ``regions`` print straight from the
     ordered blocks of ``complete._ranked_regions``: no rule derivation, no
     per-formula rank key, and on the text path no :class:`Rule`."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        log = {"derive_rules": 0, "formula_rank_for": 0, "Rule": 0}
-        for module, name in (
-            (threeway.cli, "derive_rules"),
-            (threeway.rules, "derive_rules"),
-            (threeway.cli, "formula_rank_for"),
-            (threeway.language, "formula_rank_for"),
-        ):
-            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-                log[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-        make_rule = threeway.rules.Rule.__new__
-
-        def counted_rule(cls, *args, **kwargs):
-            log["Rule"] += 1
-            return make_rule(cls, *args, **kwargs)
-
-        monkeypatch.setattr(threeway.rules.Rule, "__new__", counted_rule)
-        return log
 
     @pytest.mark.parametrize("command", ["regions", "rules"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -820,11 +822,63 @@ class TestEqCompleteWork:
         rules = len(json.loads(out)["rules"]) if (command, fmt) == ("rules", "json") else 0
         assert calls == {"derive_rules": 0, "formula_rank_for": 0, "Rule": rules}
 
-    def test_rule_count_is_seen(self, capsys, calls):
-        """The counters see a run that builds rules."""
-        code, _, _ = run(
-            capsys, "rules", "--table", COMPLETE40, "--method", "cdl-complete",
-            "--class-column", "d", "--class-value", "yes",
+    def test_rule_count_is_seen(self, calls):
+        """The counters see rules derived through the library."""
+        schemas = (AttributeSchema("a1", ("0", "1")), AttributeSchema("a2", ("0", "1")))
+        key = threeway.language.formula_rank_for(schemas)
+        threeway.rules.derive_rules(formulas(["a1=1", "a2=1"]), formulas(["a2=1"]), None, sort_key=key)
+        assert calls == {"derive_rules": 1, "formula_rank_for": 1, "Rule": 2}
+
+
+class TestSatisfiabilityWork:
+    """alpha-meaning, confidence and cdl-complete ``rules`` and ``regions``
+    print straight from the search's rank-ordered regions: no rule
+    derivation, no per-formula rank key, and on the text path no
+    :class:`Rule`; also with ``--strip-na-atoms``, which drops nothing from
+    their strict formulas."""
+
+    @pytest.mark.parametrize("command", ["regions", "rules"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("strip", [(), ("--strip-na-atoms",)])
+    @pytest.mark.parametrize(
+        "argv,non_commit",
+        [
+            (("--table", SETVALUED8, "--method", "alpha-meaning", "--tnorm", "prod", "--alpha", "1/3",
+              "--class", "x1,x2,x3,x4"), 0),
+            # Overlapping regions: non-commit rules.
+            (("--table", SETVALUED8, "--method", "confidence", "--alpha", "0.3", "--class", "x1,x2,x3,x4"), 6),
+            (("--table", COMPLETE40, "--method", "cdl-complete", "--class-column", "d", "--class-value", "yes"), 0),
+        ],
+    )
+    def test_no_derivation_and_no_rank_key(self, capsys, calls, command, fmt, strip, argv, non_commit):
+        code, out, _ = run(capsys, command, *argv, "--format", fmt, *strip)
+        assert code == 0 and out
+        # Only JSON rules are Rules: one per printed rule.
+        rules = len(json.loads(out)["rules"]) if (command, fmt) == ("rules", "json") else 0
+        assert calls == {"derive_rules": 0, "formula_rank_for": 0, "Rule": rules}
+        if fmt == "text":
+            assert out.count("\n(N) (") == non_commit
+        elif command == "rules":
+            assert out.count('"non-commit"') == non_commit + 1  # and the default
+
+    @pytest.mark.parametrize("command", ["regions", "rules"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("method", ["alpha-sim", "approx"])
+    def test_similarity_methods_sort_but_derive_nothing(self, capsys, calls, command, fmt, method):
+        """alpha-sim and approx print from their regions sorted once by
+        the rank key, with ``--strip-na-atoms`` applied first."""
+        code, out, _ = run(
+            capsys, command, "--table", SETVALUED8, "--method", method, "--tnorm", "prod", "--alpha", "1/3",
+            "--class", "x1,x2,x3,x4", "--format", fmt, "--strip-na-atoms",
         )
-        assert code == 0
-        assert calls["derive_rules"] == calls["formula_rank_for"] == 1 and calls["Rule"] > 0
+        assert code == 0 and out
+        rules = len(json.loads(out)["rules"]) if (command, fmt) == ("rules", "json") else 0
+        assert calls == {"derive_rules": 0, "formula_rank_for": 1, "Rule": rules}
+
+    @pytest.mark.parametrize("command", ["regions", "rules"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_strip_na_atoms_changes_nothing(self, capsys, command, fmt):
+        argv = (command, "--table", SETVALUED8, "--method", "alpha-meaning", "--alpha", "1/2",
+                "--class", "x1,x2,x3,x4", "--format", fmt)
+        assert run(capsys, *argv, "--strip-na-atoms") == run(capsys, *argv)
+        assert run(capsys, *argv, "--strip-na-atoms", "a1", "a3") == run(capsys, *argv)

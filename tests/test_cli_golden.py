@@ -61,13 +61,15 @@ def cases() -> list[tuple[str, ...]]:
     for fmt in FORMATS:
         out.append(("oracle-check", "--table", "setvalued8.itab", *fmt))
     # Threshold edges: alpha 0 admits everything, 1 only full degrees, and
-    # 1/3 equals degrees the table attains.
+    # 1/3 equals degrees the table attains. The rules text shows the
+    # non-commit rules of overlapping confidence regions.
     for method in FUZZY_METHODS:
         for tnorm in TNORMS:
             for alpha in EDGE_ALPHAS:
-                out.append(("regions", "--table", "setvalued8.itab", "--method", method,
-                            "--tnorm", tnorm, "--alpha", alpha, "--class", "x1,x2,x3,x4",
-                            "--format", "json"))
+                for command, fmt in (("regions", "json"), ("rules", "text")):
+                    out.append((command, "--table", "setvalued8.itab", "--method", method,
+                                "--tnorm", tnorm, "--alpha", alpha, "--class", "x1,x2,x3,x4",
+                                "--format", fmt))
     # Equivalence classes on a larger complete table: repeated rows and
     # boundary blocks, a class by ids or by the decision column, and an
     # attribute subset given out of declaration order.

@@ -601,7 +601,7 @@ def test_search_visits_each_size_in_rank_order(tables, kind, data):
         visited.append(atoms)
         return False, False, any(bits)
 
-    _search(table, attrs, kind, visit, b // a if a else float("inf"))
+    _search(table, attrs, kind, visit, (b // a,) if a else None)
     assert len(set(visited)) == len(visited)
     key = formula_sort_key_for(tuple(map(table.schema, attrs)))
     for size in range(1, len(attrs) + 1):
